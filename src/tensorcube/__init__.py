@@ -11,7 +11,8 @@ from .tableaux import (SkewShape, SkewTableau, ascii_diagram, content,
                        enumerate_semistandard_tableaux, is_lattice,
                        is_lr_tableau, is_semistandard, shape_diagram,
                        tableau_json, word)
-from .lr import INT64_MAX, clear_cache, lr_coefficient, lr_coefficient_memo
+from .lr import (INT64_MAX, clear_cache, lr_coefficient, lr_coefficient_memo,
+                 skew_expansion)
 from .newell_littlewood import (DecompositionResult, GroupSpec, nl_coefficient,
                                 nl_coefficient_full, nl_sum_support,
                                 tensor_decompose)
@@ -33,6 +34,7 @@ __all__ = [
     "enumerate_semistandard_tableaux", "is_lattice", "is_lr_tableau",
     "is_semistandard", "shape_diagram", "tableau_json", "word",
     "INT64_MAX", "clear_cache", "lr_coefficient", "lr_coefficient_memo",
+    "skew_expansion",
     "DecompositionResult", "GroupSpec", "nl_coefficient",
     "nl_coefficient_full", "nl_sum_support", "tensor_decompose",
     "DetectionVerdict", "SweepReport", "WitnessTriple", "build_witness",

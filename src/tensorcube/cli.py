@@ -6,7 +6,8 @@ lines), json (one document per run, JSON lines for sweeps), ascii-diagram
 (detect only); 2 usage, parse or precondition errors; 3 arithmetic overflow;
 4 internal invariant failure.
 
-Environment: TENSORCUBE_CACHE_CAP bounds the shared memo store;
+Environment: TENSORCUBE_CACHE_CAP bounds the shared memo store (a
+non-negative integer; anything else exits 2);
 TENSORCUBE_COLOR=1 turns on ANSI color for plain verdicts.
 """
 
@@ -19,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import detection
-from .lr import lr_coefficient, lr_coefficient_memo
+from .lr import _cache_capacity, lr_coefficient, lr_coefficient_memo
 from .newell_littlewood import GroupSpec, nl_coefficient, nl_sum_support, tensor_decompose
 from .oracle import lr_via_polynomials
 from .partitions import parse, render
@@ -118,25 +119,21 @@ def _cmd_lr(args) -> int:
 def _cmd_nl(args) -> int:
     lam, mu, nu = parse(args.lam), parse(args.mu), parse(args.nu)
     value = nl_coefficient(lam, mu, nu)
-    support = nl_sum_support(lam, mu, nu) if args.support else None
+    support = [(a, b, g, (lr_coefficient_memo(a, b, lam), lr_coefficient_memo(a, g, mu),
+                          lr_coefficient_memo(b, g, nu)))
+               for a, b, g in nl_sum_support(lam, mu, nu)] if args.support else None
     if args.format == "json":
         doc = {"lambda": render(lam), "mu": render(mu), "nu": render(nu),
                "coefficient": value}
         if support is not None:
-            doc["support"] = [
-                {"alpha": render(a), "beta": render(b), "gamma": render(g),
-                 "factors": [lr_coefficient_memo(a, b, lam),
-                             lr_coefficient_memo(a, g, mu),
-                             lr_coefficient_memo(b, g, nu)]}
-                for a, b, g in support]
+            doc["support"] = [{"alpha": render(a), "beta": render(b), "gamma": render(g),
+                               "factors": list(factors)}
+                              for a, b, g, factors in support]
         print(json.dumps(doc))
     else:
         print(value)
         if support is not None:
-            for a, b, g in support:
-                factors = (lr_coefficient_memo(a, b, lam),
-                           lr_coefficient_memo(a, g, mu),
-                           lr_coefficient_memo(b, g, nu))
+            for a, b, g, factors in support:
                 print(f"alpha={render(a)} beta={render(b)} gamma={render(g)} "
                       f"factors={factors[0]}*{factors[1]}*{factors[2]}")
     return EXIT_OK
@@ -237,6 +234,7 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _cache_capacity()  # a bad TENSORCUBE_CACHE_CAP fails every command alike
         return _HANDLERS[args.command](args)
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,14 +99,14 @@ def _certificate(lam: Partition, inner: Partition,
     return found[0], False
 
 
-def _enumerated_certificate(lam: Partition, inner: Partition,
-                            cont: Partition) -> SkewTableau:
-    found = enumerate_lr_tableaux(SkewShape(lam, inner), cont)
-    if not found:
-        raise RuntimeError(
-            f"no certificate of shape ({render(lam)})-({render(inner)}) "
-            f"with content ({render(cont)})")
-    return found[0]
+def _witness(lam: Partition, alpha: Partition, beta: Partition,
+             gamma: Partition) -> WitnessTriple:
+    """Certificates for (alpha, beta), (beta, gamma) and (alpha, gamma),
+    labelled "constructed" only when all three greedy fillings validate."""
+    made = [_certificate(lam, inner, cont)
+            for inner, cont in ((alpha, beta), (beta, gamma), (alpha, gamma))]
+    path = "constructed" if all(direct for _, direct in made) else "fallback"
+    return WitnessTriple(alpha, beta, gamma, tuple(cert for cert, _ in made), path)
 
 
 def witness_all_even(lam: Iterable[int]) -> WitnessTriple:
@@ -116,9 +116,7 @@ def witness_all_even(lam: Iterable[int]) -> WitnessTriple:
     if any(p % 2 for p in lam):
         raise ValueError(f"({render(lam)}) has an odd part")
     half = Partition(p // 2 for p in lam)
-    cert, direct = _certificate(lam, half, half)
-    return WitnessTriple(half, half, half, (cert, cert, cert),
-                         "constructed" if direct else "fallback")
+    return _witness(lam, half, half, half)
 
 
 def witness_distinct_odd(lam: Iterable[int]) -> WitnessTriple:
@@ -133,11 +131,7 @@ def witness_distinct_odd(lam: Iterable[int]) -> WitnessTriple:
     k = len(lam) // 2
     alpha = Partition([(p + 1) // 2 for p in lam[:k]] + [(p - 1) // 2 for p in lam[k:]])
     beta = Partition([(p - 1) // 2 for p in lam[:k]] + [(p + 1) // 2 for p in lam[k:]])
-    c1, d1 = _certificate(lam, alpha, beta)
-    c2, d2 = _certificate(lam, beta, alpha)
-    c3, d3 = _certificate(lam, alpha, alpha)
-    return WitnessTriple(alpha, beta, alpha, (c1, c2, c3),
-                         "constructed" if d1 and d2 and d3 else "fallback")
+    return _witness(lam, alpha, beta, alpha)
 
 
 def witness_hook(lam: Iterable[int]) -> WitnessTriple:
@@ -154,18 +148,12 @@ def witness_hook(lam: Iterable[int]) -> WitnessTriple:
     a, b = hook.arm, hook.leg
     if a % 2 == 1:
         core = Partition([1 + (a - 1) // 2] + [1] * (b // 2))
-        cert, direct = _certificate(lam, core, core)
-        return WitnessTriple(core, core, core, (cert, cert, cert),
-                             "constructed" if direct else "fallback")
+        return _witness(lam, core, core, core)
     if a == 0:
         return _search_witness(lam)
     alpha = Partition([1 + a // 2] + [1] * ((b - 1) // 2))
     beta = Partition([a // 2] + [1] * ((b + 1) // 2))
-    c1, d1 = _certificate(lam, alpha, beta)
-    c2, d2 = _certificate(lam, beta, alpha)
-    c3, d3 = _certificate(lam, alpha, alpha)
-    return WitnessTriple(alpha, beta, alpha, (c1, c2, c3),
-                         "constructed" if d1 and d2 and d3 else "fallback")
+    return _witness(lam, alpha, beta, alpha)
 
 
 def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
@@ -173,8 +161,8 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
 
     Even row length reduces to the halving witness. Otherwise the row count
     is even: halve the conjugate and conjugate back, so alpha = beta = gamma
-    stacks the full row length on half the rows; certificates are re-derived
-    by enumeration on the resulting shapes."""
+    stacks the full row length on half the rows, and each certificate is the
+    bottom half of the rectangle filled row by row."""
     lam = Partition(lam)
     rect = next((f for f in classify(lam) if isinstance(f, Rectangle)), None)
     if rect is None or lam.size % 2:
@@ -182,8 +170,7 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
     if rect.cols % 2 == 0:
         return witness_all_even(lam)
     half = Partition([rect.cols] * (rect.rows // 2))
-    cert = _enumerated_certificate(lam, half, half)
-    return WitnessTriple(half, half, half, (cert, cert, cert), "constructed")
+    return _witness(lam, half, half, half)
 
 
 def _search_witness(lam: Partition) -> WitnessTriple:

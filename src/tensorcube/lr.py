@@ -1,23 +1,26 @@
 """Littlewood-Richardson coefficients by direct tableau counting.
 
-Enumeration of lattice-word fillings is the single production algorithm; the
-``oracle`` module recomputes the same numbers through symmetric polynomial
-arithmetic so the test suite can cross-validate. Values are exact
-non-negative integers, and the arithmetic refuses to leave signed 64-bit
-range instead of growing silently.
+Enumeration of lattice-word fillings is the single production algorithm,
+with the content fixed (one coefficient) or free (a whole skew-Schur
+expansion); the ``oracle`` module recomputes the same numbers through
+symmetric polynomial arithmetic so the test suite can cross-validate. Values
+are exact non-negative integers, and the arithmetic refuses to leave signed
+64-bit range instead of growing silently.
 
-The shared memo store is a plain dict: concurrent readers are safe under the
-interpreter lock and insertions are serialized explicitly.
+The shared memo store is one dict for coefficients and expansions under one
+cap: concurrent readers are safe under the interpreter lock and insertions
+are serialized explicitly.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .partitions import Partition, contains
-from .tableaux import SkewShape, count_lr_fillings
+from .tableaux import SkewShape, _search, count_lr_fillings
 
 INT64_MAX = 2**63 - 1
 
@@ -36,8 +39,17 @@ def checked(value: int) -> int:
 def _cache_capacity() -> int:
     global _cap
     if _cap is None:
-        _cap = int(os.environ.get("TENSORCUBE_CACHE_CAP", str(1 << 20)))
+        raw = os.environ.get("TENSORCUBE_CACHE_CAP", str(1 << 20))
+        if not raw.strip().isdecimal():
+            raise ValueError(f"TENSORCUBE_CACHE_CAP must be a non-negative integer, got {raw!r}")
+        _cap = int(raw)
     return _cap
+
+
+def _store(cache: dict, key, value) -> None:
+    if len(cache) < _cache_capacity():
+        with _cache_lock:
+            cache[key] = value
 
 
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -74,13 +86,31 @@ def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     value = cache.get(key)
     if value is None:
         value = checked(count_lr_fillings(SkewShape(nu, lam), mu))
-        if len(cache) < _cache_capacity():
-            with _cache_lock:
-                cache[key] = value
+        _store(cache, key, value)
     return value
 
 
+def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partition, int]:
+    """s_{outer/inner} in the Schur basis, ``{beta: c(inner, beta -> outer)}``
+    without zero terms, from one search with the content left free; a
+    read-only view of the memoized dict."""
+    outer, inner = Partition(outer), Partition(inner)
+    expansion = _shared_cache.get((outer, inner))
+    if expansion is None:
+        tally: dict[tuple, int] = {}
+        if contains(inner, outer):
+            def bump(rows, counts):
+                found = tuple(counts)
+                tally[found] = tally.get(found, 0) + 1
+            # row i of a lattice filling uses letters up to i + 1 only
+            _search(SkewShape(outer, inner), len(outer), None, True, bump)
+        expansion = MappingProxyType({Partition(found[1:]): checked(n)
+                                      for found, n in tally.items()})
+        _store(_shared_cache, (outer, inner), expansion)
+    return expansion
+
+
 def clear_cache() -> None:
-    """Drop the shared memo store (mainly for tests and benchmarks)."""
+    """Drop every memoized coefficient and expansion (mainly for tests and benchmarks)."""
     with _cache_lock:
         _shared_cache.clear()

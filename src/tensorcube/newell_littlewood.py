@@ -1,21 +1,22 @@
 """Tensor product structure constants shared by the odd orthogonal,
 symplectic and even orthogonal families.
 
-The constant pairing three partitions is a sum, over triangles of half-size
-partitions, of products of three Littlewood-Richardson coefficients. It is
-fully symmetric in its three labels, vanishes unless the total size is even,
-and restricts to a single LR coefficient in top degree. The decomposition
-routine filters the expansion by rank and flags the stable range.
+The constant pairing three partitions sums c(alpha, beta -> lam) *
+c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles, read off
+skew-Schur expansions; the decomposition is the same sum as symmetric
+functions, the sum over alpha of s_{lam/alpha} * s_{mu/alpha}, filtered by
+rank. The constant is fully symmetric, vanishes unless the total size is
+even, and restricts to a single LR coefficient in top degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .lr import checked, lr_coefficient_memo
-from .partitions import Partition, enumerate_partitions, render
+from .lr import checked, lr_coefficient_memo, skew_expansion
+from .partitions import Partition, render
 
 
 @lru_cache(maxsize=None)
@@ -41,42 +42,26 @@ def _meet(lam: Partition, mu: Partition) -> Partition:
     return Partition(min(a, b) for a, b in zip(lam, mu))
 
 
-def _triple_sum(lam: Partition, mu: Partition, nu: Partition,
-                alpha_sizes: Iterable[int], tight: bool) -> int:
-    """Sum of c(a,b -> lam) * c(a,g -> mu) * c(b,g -> nu) over candidate
-    triangles.
+def _product(beta: Partition, gamma: Partition) -> Mapping[Partition, int]:
+    """s_beta * s_gamma in the Schur basis: the expansion of the disconnected
+    skew shape with beta shifted right past gamma's first row, gamma below."""
+    width = gamma[0] if gamma else 0
+    return skew_expansion([b + width for b in beta] + list(gamma), [width] * len(beta))
 
-    ``tight`` restricts b and g to shapes that could still pair into ``nu``
-    (the production path); the loose path keeps every candidate allowed by
-    the first two factors and evaluates the third factor honestly, which is
-    what the parity tests exercise."""
-    total = 0
-    alpha_bound = _meet(lam, mu)
-    beta_bound = _meet(lam, nu) if tight else lam
-    gamma_bound = _meet(mu, nu) if tight else mu
-    for asize in alpha_sizes:
-        bsize = lam.size - asize
-        gsize = mu.size - asize
-        if bsize < 0 or gsize < 0:
-            continue
-        for alpha in _subpartitions(alpha_bound, asize):
-            betas = []
-            for beta in _subpartitions(beta_bound, bsize):
-                cab = lr_coefficient_memo(alpha, beta, lam)
-                if cab:
-                    betas.append((beta, cab))
-            if not betas:
-                continue
-            for gamma in _subpartitions(gamma_bound, gsize):
-                cag = lr_coefficient_memo(alpha, gamma, mu)
-                if not cag:
-                    continue
-                for beta, cab in betas:
-                    cbg = lr_coefficient_memo(beta, gamma, nu)
-                    if cbg:
-                        term = checked(checked(cab * cag) * cbg)
-                        total = checked(total + term)
-    return total
+
+def _triangles(lam: Partition, mu: Partition, nu: Partition):
+    """Every triangle (alpha, beta, gamma) with all three factors positive,
+    as (alpha, beta, gamma, c_ab, c_ag, c_bg), in reverse-lex nesting order;
+    nothing when the total size is odd or the forced sizes go negative."""
+    twice = lam.size + mu.size - nu.size
+    if twice < 0 or twice % 2:
+        return
+    for alpha in _subpartitions(_meet(lam, mu), twice // 2):
+        left = skew_expansion(mu, alpha)
+        for beta, cab in sorted(skew_expansion(lam, alpha).items(), reverse=True):
+            right = skew_expansion(nu, beta)
+            for gamma in sorted(left.keys() & right.keys(), reverse=True):
+                yield alpha, beta, gamma, cab, left[gamma], right[gamma]
 
 
 def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -85,19 +70,36 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     Returns 0 immediately when the total size is odd; the shortcut agrees
     with the full sum (the suite confirms this by running the sum without
     it, see :func:`nl_coefficient_full`)."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    twice = lam.size + mu.size - nu.size
-    if twice < 0 or twice % 2:
-        return 0
-    return _triple_sum(lam, mu, nu, (twice // 2,), tight=True)
+    total = 0
+    for *_, cab, cag, cbg in _triangles(Partition(lam), Partition(mu), Partition(nu)):
+        total = checked(total + checked(checked(cab * cag) * cbg))
+    return total
 
 
 def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
-    """Same value as :func:`nl_coefficient`, no parity shortcut: every
-    triangle allowed by the first two factors is visited and the third factor
-    is evaluated on each."""
+    """Same value as :func:`nl_coefficient`, deliberately naive: no parity
+    shortcut, no expansions; every triangle allowed by the first two factors
+    is visited and each factor is a separate memoized coefficient."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return _triple_sum(lam, mu, nu, range(min(lam.size, mu.size) + 1), tight=False)
+    total = 0
+    for asize in range(min(lam.size, mu.size) + 1):
+        for alpha in _subpartitions(_meet(lam, mu), asize):
+            betas = []
+            for beta in _subpartitions(lam, lam.size - asize):
+                cab = lr_coefficient_memo(alpha, beta, lam)
+                if cab:
+                    betas.append((beta, cab))
+            if not betas:
+                continue
+            for gamma in _subpartitions(mu, mu.size - asize):
+                cag = lr_coefficient_memo(alpha, gamma, mu)
+                if not cag:
+                    continue
+                for beta, cab in betas:
+                    cbg = lr_coefficient_memo(beta, gamma, nu)
+                    if cbg:
+                        total = checked(total + checked(checked(cab * cag) * cbg))
+    return total
 
 
 def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
@@ -105,24 +107,7 @@ def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
     """The triangles (alpha, beta, gamma) with all three factors positive, in
     deterministic reverse-lex nesting order; empty when the forced sizes go
     negative or the total size is odd."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    twice = lam.size + mu.size - nu.size
-    if twice < 0 or twice % 2:
-        return []
-    asize = twice // 2
-    bsize = lam.size - asize
-    gsize = mu.size - asize
-    if bsize < 0 or gsize < 0:
-        return []
-    out = []
-    for alpha in _subpartitions(_meet(lam, mu), asize):
-        for beta in _subpartitions(_meet(lam, nu), bsize):
-            if not lr_coefficient_memo(alpha, beta, lam):
-                continue
-            for gamma in _subpartitions(_meet(mu, nu), gsize):
-                if lr_coefficient_memo(alpha, gamma, mu) and lr_coefficient_memo(beta, gamma, nu):
-                    out.append((alpha, beta, gamma))
-    return out
+    return [(a, b, g) for a, b, g, *_ in _triangles(Partition(lam), Partition(mu), Partition(nu))]
 
 
 _FAMILIES = ("B", "C", "D")
@@ -185,9 +170,9 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     """Decompose the product of the irreducibles labelled ``lam`` and ``mu``.
 
     Inputs must fit the rank (family D additionally needs the last weight
-    coordinate zero, i.e. length at most rank-1). Candidate outputs run over
-    sizes of the right parity with length at most the rank and first part at
-    most the sum of first parts; the multiplicities do not depend on the
+    coordinate zero, i.e. length at most rank-1). The multiplicities are the
+    Schur coefficients of the sum over alpha of s_{lam/alpha} * s_{mu/alpha},
+    kept where the length is at most the rank; they do not depend on the
     family, only the rank filtering does."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
@@ -199,19 +184,20 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
                     f"last weight coordinate zero, so at most {limit} parts")
             raise ValueError(f"{name} has {len(p)} parts, more than rank {group.rank}")
     n = group.rank
-    first = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-    terms: dict[Partition, int] = {}
-    inadmissible: dict[Partition, int] = {}
-    for size in range(lam.size + mu.size, -1, -2):
-        if size and not first:
-            continue
-        for nu in enumerate_partitions(size, max_length=n, max_part=first if size else None):
-            value = nl_coefficient(lam, mu, nu)
-            if not value:
-                continue
-            if group.family == "D" and len(nu) == n:
-                inadmissible[nu] = value
-            else:
-                terms[nu] = value
+    found: dict[Partition, int] = {}
+    meet = _meet(lam, mu)
+    for asize in range(meet.size + 1):
+        for alpha in _subpartitions(meet, asize):
+            right = skew_expansion(mu, alpha)
+            for beta, cb in skew_expansion(lam, alpha).items():
+                for gamma, cg in right.items():
+                    weight = checked(cb * cg)
+                    for nu, c in _product(beta, gamma).items():
+                        if len(nu) <= n:
+                            found[nu] = checked(found.get(nu, 0) + checked(weight * c))
+    ordered = sorted(found.items(), key=lambda term: (term[0].size, term[0]), reverse=True)
+    aside = group.family == "D"
+    terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}
+    inadmissible = {nu: m for nu, m in ordered if aside and len(nu) == n}
     stable = len(lam) + len(mu) <= n
     return DecompositionResult(group, lam, mu, terms, inadmissible, stable)

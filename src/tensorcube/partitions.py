@@ -26,11 +26,11 @@ class Partition(tuple):
         if type(parts) is Partition:
             return parts
         parts = tuple(parts)
-        while parts and parts[-1] == 0:
+        while parts and parts[-1] == 0 and not isinstance(parts[-1], bool):
             parts = parts[:-1]
         previous = None
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"partition parts must be positive integers, got {p!r}")
             if previous is not None and p > previous:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts!r}")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tensorcube import Partition, parse
+from tensorcube import Partition, lr, parse
 from tensorcube.cli import main
 
 
@@ -212,6 +212,26 @@ def test_internal_failure_maps_to_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr("tensorcube.cli.detection.detects", boom)
     assert main(["detect", "4,4"]) == 4
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("argv", [["nl", "2", "2", "2"], ["render", "2,1"]])
+def test_bad_cache_cap_exits_2(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("TENSORCUBE_CACHE_CAP", raw)
+    monkeypatch.setattr(lr, "_cap", None)
+    lr.clear_cache()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "TENSORCUBE_CACHE_CAP" in captured.err and repr(raw) in captured.err
+
+
+def test_cache_cap_zero_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("TENSORCUBE_CACHE_CAP", "0")
+    monkeypatch.setattr(lr, "_cap", None)
+    lr.clear_cache()
+    assert run(capsys, "nl", "2,2", "2,2", "2,2") == (0, "2\n")
+    assert lr._shared_cache == {}
 
 
 def test_console_script_entry_point():

@@ -1,5 +1,5 @@
 """lr_coefficient contract: guard conditions, symmetry, conjugation,
-memoization transparency, and checked 64-bit arithmetic."""
+memoization transparency, skew expansions, and checked 64-bit arithmetic."""
 
 import pytest
 
@@ -8,10 +8,14 @@ from tensorcube import (
     INT64_MAX,
     Partition,
     clear_cache,
+    lr,
     lr_coefficient,
     lr_coefficient_memo,
+    nl_coefficient,
+    skew_expansion,
 )
 from tensorcube.lr import checked
+from tensorcube.newell_littlewood import _product
 
 
 def all_partitions(n):
@@ -118,6 +122,57 @@ def test_memo_guard_cases_skip_cache():
     cache = {}
     assert lr_coefficient_memo((1,), (1,), (3,), cache=cache) == 0
     assert cache == {}
+
+
+# --- skew expansions ---
+
+def nonzero_coefficients(inner, outer, size):
+    found = {beta: lr_coefficient(inner, beta, outer) for beta in all_partitions(size)}
+    return {beta: c for beta, c in found.items() if c}
+
+
+def test_skew_expansion_matches_coefficients():
+    """Every pair of shapes with |outer| <= 7, contained or not."""
+    for n in range(8):
+        for outer in all_partitions(n):
+            for k in range(n + 1):
+                for inner in all_partitions(k):
+                    assert skew_expansion(outer, inner) == nonzero_coefficients(
+                        inner, outer, n - k
+                    ), (outer, inner)
+
+
+def test_skew_expansion_of_disconnected_shape_is_a_product():
+    """s_beta * s_gamma from one expansion, |beta| + |gamma| <= 7."""
+    for n in range(8):
+        for k in range(n + 1):
+            for beta in all_partitions(k):
+                for gamma in all_partitions(n - k):
+                    expected = {nu: lr_coefficient(beta, gamma, nu) for nu in all_partitions(n)}
+                    assert _product(beta, gamma) == {
+                        nu: c for nu, c in expected.items() if c
+                    }, (beta, gamma)
+
+
+def test_clear_cache_drops_expansions():
+    clear_cache()
+    expansion = skew_expansion((3, 2, 1), (2, 1))
+    assert expansion == {
+        Partition((3,)): 1, Partition((2, 1)): 2, Partition((1, 1, 1)): 1,
+    }
+    with pytest.raises(TypeError):
+        expansion[Partition((3,))] = 5  # the memoized value is read-only
+    assert (Partition((3, 2, 1)), Partition((2, 1))) in lr._shared_cache
+    clear_cache()
+    assert lr._shared_cache == {}
+
+
+def test_zero_cap_stores_no_expansion(monkeypatch):
+    monkeypatch.setattr(lr, "_cap", 0)
+    clear_cache()
+    assert skew_expansion((2, 2), (1,)) == {Partition((2, 1)): 1}
+    assert nl_coefficient((2, 2), (2, 2), (2, 2)) == 2
+    assert lr._shared_cache == {}
 
 
 # --- checked arithmetic ---

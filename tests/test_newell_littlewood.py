@@ -2,11 +2,14 @@
 decomposition for the three classical families."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_nl, gen_partitions
 from tensorcube import (
     GroupSpec,
     Partition,
+    enumerate_partitions,
     lr_coefficient,
     nl_coefficient,
     nl_coefficient_full,
@@ -251,6 +254,48 @@ def test_terms_agree_with_coefficients():
         for nu in enumerate_partitions(size, max_length=4):
             if nl_coefficient(lam, mu, nu):
                 assert nu in res.terms
+
+
+GROUPS = [GroupSpec(f, r) for f in "BC" for r in range(1, 7)] + [
+    GroupSpec("D", r) for r in (2, 4, 6)
+]
+
+
+@st.composite
+def decomposition_inputs(draw):
+    group = draw(st.sampled_from(GROUPS))
+
+    def weight():
+        fitting = [p for p in all_partitions(draw(st.integers(0, 5)))
+                   if len(p) <= group.max_weight_length]
+        return draw(st.sampled_from(fitting))
+
+    return weight(), weight(), group
+
+
+@settings(max_examples=60, deadline=None)
+@given(decomposition_inputs())
+def test_decomposition_matches_full_sum(inputs):
+    """Every output weight that fits the rank carries the naive triple sum
+    as its multiplicity, in (size, weight) descending order, with family D's
+    full-length weights routed aside."""
+    lam, mu, group = inputs
+    res = tensor_decompose(lam, mu, group)
+    expected = {}
+    for size in range(lam.size + mu.size, -1, -1):
+        for nu in enumerate_partitions(size, max_length=group.rank):
+            value = nl_coefficient_full(lam, mu, nu)
+            if value:
+                expected[nu] = value
+    merged = dict(res.terms)
+    merged.update(res.inadmissible)
+    assert merged == expected
+    assert list(res.terms) == sorted(res.terms, key=lambda nu: (nu.size, nu), reverse=True)
+    if group.family == "D":
+        assert all(len(nu) == group.rank for nu in res.inadmissible)
+        assert all(len(nu) < group.rank for nu in res.terms)
+    else:
+        assert not res.inadmissible
 
 
 def test_stable_flag():

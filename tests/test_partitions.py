@@ -15,6 +15,7 @@ from tensorcube import (
     classify,
     contains,
     enumerate_partitions,
+    lr_coefficient,
     parse,
     render,
 )
@@ -42,6 +43,15 @@ def test_constructor_rejects_increasing():
 def test_constructor_rejects_nonpositive():
     with pytest.raises(ValueError):
         Partition((3, -1))
+
+
+def test_constructor_rejects_bool_parts():
+    with pytest.raises(ValueError):
+        Partition([True, True])
+    with pytest.raises(ValueError):
+        Partition((2, False))
+    with pytest.raises(ValueError):
+        lr_coefficient([True], [True], [2])
 
 
 def test_constructor_identity_fast_path():
