@@ -16,6 +16,7 @@ family must be detected with a valid witness.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -283,7 +284,10 @@ def _even_entry(lam: Partition) -> dict:
 
 
 def _map(fn: Callable, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are items or CPUs
+    jobs = min(jobs, len(items), os.cpu_count() or 1)
+    if jobs <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (4 * jobs))

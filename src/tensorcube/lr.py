@@ -7,15 +7,17 @@ symmetric polynomial arithmetic so the test suite can cross-validate. Values
 are exact non-negative integers, and the arithmetic refuses to leave signed
 64-bit range instead of growing silently.
 
-The shared memo store is one dict for coefficients and expansions under one
-cap: concurrent readers are safe under the interpreter lock and insertions
-are serialized explicitly.
+The shared store is the package's one memo: coefficients, expansions and
+subpartition lists under one cap, past which each insert drops the oldest
+entry. Readers are safe under the interpreter lock; ``_store``, the only
+writer, serializes insertions and evictions.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import OrderedDict
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -25,7 +27,7 @@ from .tableaux import SkewShape, _search, count_lr_fillings
 INT64_MAX = 2**63 - 1
 
 _cache_lock = threading.Lock()
-_shared_cache: dict = {}
+_shared_cache: OrderedDict = OrderedDict()
 _cap: int | None = None
 
 
@@ -46,10 +48,13 @@ def _cache_capacity() -> int:
     return _cap
 
 
-def _store(cache: dict, key, value) -> None:
-    if len(cache) < _cache_capacity():
+def _store(key, value) -> None:
+    cap = _cache_capacity()
+    if cap:
         with _cache_lock:
-            cache[key] = value
+            if len(_shared_cache) >= cap:
+                _shared_cache.popitem(last=False)
+            _shared_cache[key] = value
 
 
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -64,29 +69,25 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     return checked(count_lr_fillings(SkewShape(nu, lam), mu))
 
 
-def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int],
-                        cache: dict | None = None) -> int:
+def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Memoized :func:`lr_coefficient`.
 
     The coefficient is symmetric in the two lower shapes, so both orders
-    share one cache entry (keyed with the smaller of the pair first, compared
-    by size then parts). Pass an explicit ``cache`` dict to isolate storage;
-    the default store is shared process-wide and capped by the
+    share one entry of the shared store (keyed with the smaller of the pair
+    first, compared by size then parts); the store is capped by the
     ``TENSORCUBE_CACHE_CAP`` environment variable."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if nu.size != lam.size + mu.size:
         return 0
     if not contains(lam, nu) or not contains(mu, nu):
         return 0
-    if cache is None:
-        cache = _shared_cache
     if (mu.size, mu) < (lam.size, lam):
         lam, mu = mu, lam
     key = (lam, mu, nu)
-    value = cache.get(key)
+    value = _shared_cache.get(key)
     if value is None:
         value = checked(count_lr_fillings(SkewShape(nu, lam), mu))
-        _store(cache, key, value)
+        _store(key, value)
     return value
 
 
@@ -106,11 +107,11 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
             _search(SkewShape(outer, inner), len(outer), None, True, bump)
         expansion = MappingProxyType({Partition(found[1:]): checked(n)
                                       for found, n in tally.items()})
-        _store(_shared_cache, (outer, inner), expansion)
+        _store((outer, inner), expansion)
     return expansion
 
 
 def clear_cache() -> None:
-    """Drop every memoized coefficient and expansion (mainly for tests and benchmarks)."""
+    """Drop every memoized value of the package (mainly for tests and benchmarks)."""
     with _cache_lock:
         _shared_cache.clear()

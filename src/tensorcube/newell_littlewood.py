@@ -12,29 +12,20 @@ even, and restricts to a single LR coefficient in top degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .lr import checked, lr_coefficient_memo, skew_expansion
-from .partitions import Partition, render
+from .lr import _shared_cache, _store, checked, lr_coefficient_memo, skew_expansion
+from .partitions import Partition, partitions_inside, render
 
 
-@lru_cache(maxsize=None)
 def _subpartitions(bound: Partition, size: int) -> tuple[Partition, ...]:
-    """Partitions of ``size`` fitting inside ``bound``, reverse-lex order."""
-    found: list[Partition] = []
-
-    def descend(i: int, remaining: int, largest: int, prefix: tuple) -> None:
-        if remaining == 0:
-            found.append(Partition(prefix))
-            return
-        if i == len(bound):
-            return
-        for part in range(min(bound[i], largest, remaining), 0, -1):
-            descend(i + 1, remaining - part, part, prefix + (part,))
-
-    descend(0, size, size if size else 1, ())
-    return tuple(found)
+    """Partitions of ``size`` fitting inside ``bound``, reverse-lex order,
+    memoized in the shared store under ``(bound, size)``."""
+    found = _shared_cache.get((bound, size))
+    if found is None:
+        found = tuple(partitions_inside(bound, size))
+        _store((bound, size), found)
+    return found
 
 
 def _meet(lam: Partition, mu: Partition) -> Partition:

@@ -159,15 +159,16 @@ def lr_via_polynomials(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int],
     the elimination never consults any other exponent, and the restriction
     avoids materializing the full product near the degree cap.
 
-    Any variable count of at least len(lam)+len(mu) gives the same answer
-    (the suite checks the default and default+1); the default uses exactly
-    that many. Combined sizes above ``DEGREE_LIMIT`` are refused."""
+    Any variable count that fits all three shapes, at least the longest of
+    len(lam), len(mu) and len(nu), gives the same answer (the suite checks
+    the default and default+1); the default uses exactly that many. Combined
+    sizes above ``DEGREE_LIMIT`` are refused."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     degree = lam.size + mu.size
     if degree > DEGREE_LIMIT:
         raise ValueError(f"cross-check capped at combined size {DEGREE_LIMIT}, got {degree}")
     if nvars is None:
-        nvars = max(len(lam) + len(mu), len(nu), 1)
+        nvars = max(len(lam), len(mu), len(nu), 1)
     if nvars < 1:
         raise ValueError(f"need at least one variable, got {nvars}")
     for factor in (lam, mu):

@@ -188,18 +188,25 @@ def enumerate_partitions(total: int, max_length: int | None = None,
             raise ValueError(f"{name} must be positive or None, got {bound}")
     slots = total if max_length is None else min(max_length, total)
     cap = total if max_part is None else min(max_part, total)
+    return partitions_inside([cap] * slots, total)
+
+
+def partitions_inside(bound: Iterable[int], size: int) -> list[Partition]:
+    """All partitions of ``size`` whose diagram fits inside ``bound``,
+    reverse-lexicographic (largest first)."""
+    bound = Partition(bound)
     found: list[Partition] = []
 
-    def descend(remaining: int, largest: int, slots_left: int, prefix: tuple) -> None:
+    def descend(i: int, remaining: int, largest: int, prefix: tuple) -> None:
         if remaining == 0:
             found.append(Partition(prefix))
             return
-        if slots_left == 0:
+        if i == len(bound):
             return
-        for part in range(min(largest, remaining), 0, -1):
-            if part * slots_left < remaining:
+        for part in range(min(bound[i], largest, remaining), 0, -1):
+            if part * (len(bound) - i) < remaining:
                 break
-            descend(remaining - part, part, slots_left - 1, prefix + (part,))
+            descend(i + 1, remaining - part, part, prefix + (part,))
 
-    descend(total, cap, slots, ())
+    descend(0, size, size, ())
     return found

@@ -64,7 +64,7 @@ class SkewTableau:
             if len(row) != hi - lo:
                 raise ValueError(f"row {i} must have {hi - lo} entries, got {len(row)}")
             for entry in row:
-                if not isinstance(entry, int) or entry < 1:
+                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
                     raise ValueError(f"entries must be positive integers, got {entry!r}")
 
     def entry(self, i: int, j: int) -> int:

@@ -18,6 +18,7 @@ from tensorcube import (
     witness_hook,
     witness_rectangle,
 )
+from tensorcube import detection
 from tensorcube.detection import EVEN_SWEEP_LIMIT, ODD_SWEEP_LIMIT
 from tensorcube.oracle import lr_via_polynomials
 from tensorcube.tableaux import content, is_lr_tableau, word
@@ -250,3 +251,36 @@ def test_sweep_parallel_matches_serial():
     parallel = verify_even_theorem(4, jobs=2)
     assert serial.entries == parallel.entries
     assert serial.family_tallies == parallel.family_tallies
+
+
+class RecordingExecutor:
+    """Stands in for the process pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, jobs, expected", [
+    (4, 100000, [4]),    # bounded by the CPU count
+    (64, 100000, [8]),   # bounded by the eight weights of even size <= 4
+    (4, 2, [2]),
+    (None, 100000, []),  # unknown CPU count: serial, no pool
+])
+def test_sweep_workers_bounded_by_cpus_and_items(monkeypatch, cpus, jobs, expected):
+    monkeypatch.setattr(detection, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(detection.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    report = verify_even_theorem(4, jobs=jobs)
+    assert RecordingExecutor.sizes == expected
+    assert report.entries == verify_even_theorem(4, jobs=1).entries

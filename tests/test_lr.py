@@ -1,11 +1,15 @@
 """lr_coefficient contract: guard conditions, symmetry, conjugation,
 memoization transparency, skew expansions, and checked 64-bit arithmetic."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from oracles import gen_partitions
 from tensorcube import (
     INT64_MAX,
+    GroupSpec,
     Partition,
     clear_cache,
     lr,
@@ -13,6 +17,7 @@ from tensorcube import (
     lr_coefficient_memo,
     nl_coefficient,
     skew_expansion,
+    tensor_decompose,
 )
 from tensorcube.lr import checked
 from tensorcube.newell_littlewood import _product
@@ -86,28 +91,32 @@ def test_memo_matches_direct():
 
 
 def test_memo_normalizes_argument_order():
-    cache = {}
-    a = lr_coefficient_memo((2, 1), (3, 1), (4, 2, 1), cache=cache)
-    b = lr_coefficient_memo((3, 1), (2, 1), (4, 2, 1), cache=cache)
+    clear_cache()
+    a = lr_coefficient_memo((2, 1), (3, 1), (4, 2, 1))
+    b = lr_coefficient_memo((3, 1), (2, 1), (4, 2, 1))
     assert a == b
-    assert len(cache) == 1
+    assert len(lr._shared_cache) == 1
+    clear_cache()
 
 
-def test_memo_explicit_cache_is_used():
-    cache = {}
-    lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1), cache=cache)
-    assert len(cache) == 1
-    key, value = next(iter(cache.items()))
-    assert value == lr_coefficient((2, 1), (2, 1), (3, 2, 1))
+def test_memo_value_is_stored_in_shared_cache():
+    clear_cache()
+    lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1))
+    assert list(lr._shared_cache.items()) == [
+        ((Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1))),
+         lr_coefficient((2, 1), (2, 1), (3, 2, 1))),
+    ]
+    clear_cache()
 
 
 def test_memo_poisoned_cache_is_trusted():
-    # the cache is authoritative; proves lookups actually hit it
-    cache = {}
-    lr_coefficient_memo((1,), (1,), (2,), cache=cache)
-    key = next(iter(cache))
-    cache[key] = 99
-    assert lr_coefficient_memo((1,), (1,), (2,), cache=cache) == 99
+    # the store is authoritative; proves lookups actually hit it
+    clear_cache()
+    lr_coefficient_memo((1,), (1,), (2,))
+    key = next(iter(lr._shared_cache))
+    lr._shared_cache[key] = 99
+    assert lr_coefficient_memo((1,), (1,), (2,)) == 99
+    clear_cache()
 
 
 def test_shared_cache_clear():
@@ -119,9 +128,50 @@ def test_shared_cache_clear():
 
 
 def test_memo_guard_cases_skip_cache():
-    cache = {}
-    assert lr_coefficient_memo((1,), (1,), (3,), cache=cache) == 0
-    assert cache == {}
+    clear_cache()
+    assert lr_coefficient_memo((1,), (1,), (3,)) == 0
+    assert lr_coefficient_memo((2, 2), (1,), (3, 1, 1)) == 0
+    assert lr._shared_cache == {}
+
+
+def test_full_store_drops_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(lr, "_cap", 2)
+    clear_cache()
+    shapes = [((3, 2, 1), (2, 1)), ((2, 2), (1,)), ((3, 1), (1,))]
+    values = [skew_expansion(outer, inner) for outer, inner in shapes]
+    assert list(lr._shared_cache) == [(Partition(o), Partition(i)) for o, i in shapes[1:]]
+    for (outer, inner), value in zip(shapes, values):
+        assert value == nonzero_coefficients(inner, outer, sum(outer) - sum(inner))
+    clear_cache()
+
+
+def test_concurrent_inserts_keep_the_cap(monkeypatch):
+    monkeypatch.setattr(lr, "_cap", 16)
+    clear_cache()
+
+    def insert(thread):
+        for i in range(2000):
+            lr._store(("stress", thread, i), i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(insert, t) for t in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(lr._shared_cache) == 16
+    clear_cache()
+
+
+def test_clear_cache_reaches_every_memo():
+    clear_cache()
+    nl_coefficient((3, 2, 1), (2, 1), (3, 2))
+    tensor_decompose((2, 1), (2, 1), GroupSpec("C", 3))
+    assert any(isinstance(key[1], int) for key in lr._shared_cache)  # subpartitions
+    clear_cache()
+    assert lr._shared_cache == {}
 
 
 # --- skew expansions ---

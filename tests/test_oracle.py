@@ -128,18 +128,20 @@ def test_polynomial_route_matches_on_random_triples():
 
 
 def test_variable_count_stability():
-    """Any m at least l(lam)+l(mu) gives the same answer (m and m+1)."""
+    """Any m that fits all three shapes gives the tableau count: the default,
+    which is the longest of the three lengths, and one more."""
     cases = [
         ((2, 1), (2, 1), (3, 2, 1)),
         ((2, 1), (2, 1), (2, 2, 1, 1)),
         ((3, 1), (2,), (3, 2, 1)),
         ((1, 1), (1, 1), (2, 1, 1)),
+        ((3, 1, 1, 1), (2, 2, 1, 1, 1, 1), (5, 5, 1, 1, 1, 1)),
     ]
     for lam, mu, nu in cases:
-        m = len(lam) + len(mu)
-        base = lr_via_polynomials(lam, mu, nu, nvars=m)
+        base = lr_via_polynomials(lam, mu, nu)
+        assert base == lr_coefficient(lam, mu, nu)
+        m = max(len(lam), len(mu), len(nu))
         assert lr_via_polynomials(lam, mu, nu, nvars=m + 1) == base
-        assert lr_via_polynomials(lam, mu, nu) == base
 
 
 def test_sector_shortcut_matches_full_expansion():

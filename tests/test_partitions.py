@@ -19,6 +19,7 @@ from tensorcube import (
     parse,
     render,
 )
+from tensorcube.partitions import partitions_inside
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -227,6 +228,15 @@ def test_enumerate_max_part():
 def test_enumerate_matches_independent_generator():
     for n in range(11):
         assert [tuple(p) for p in enumerate_partitions(n)] == gen_partitions(n)
+
+
+def test_partitions_inside_matches_filtered_enumeration():
+    """Every bound of size <= 8 and every size up to one more than the bound's."""
+    for k in range(9):
+        for bound in all_partitions(k):
+            for n in range(k + 2):
+                expected = [p for p in enumerate_partitions(n) if contains(p, bound)]
+                assert partitions_inside(bound, n) == expected, (bound, n)
 
 
 def test_enumerate_rejects_out_of_bounds():

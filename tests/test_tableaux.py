@@ -52,6 +52,13 @@ def test_tableau_rejects_wrong_row_lengths():
         SkewTableau(SkewShape((2, 1), ()), ((1,), (1,)))
 
 
+def test_tableau_rejects_bool_entries():
+    with pytest.raises(ValueError):
+        SkewTableau(SkewShape((2,), ()), ((True, True),))
+    with pytest.raises(ValueError):
+        SkewTableau(SkewShape((2, 1), (1,)), ((1,), (False,)))
+
+
 def test_tableau_entry_lookup():
     assert WORKED.entry(0, 3) == 1
     assert WORKED.entry(2, 1) == 2
