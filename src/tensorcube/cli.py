@@ -39,12 +39,18 @@ def _colorize(text: str, good: bool) -> str:
     return f"\x1b[{'32' if good else '31'}m{text}\x1b[0m"
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("plain", "json", "ascii-diagram"),
                         default="plain", help="output format")
-    shared.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweeps")
+    shared.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel workers for sweeps (a positive integer)")
 
     parser = argparse.ArgumentParser(
         prog="tensorcube",
@@ -100,7 +106,8 @@ def _cmd_lr(args) -> int:
         value = lr_coefficient(lam, mu, nu)
     certs = None
     if args.certificates:
-        certs = enumerate_lr_tableaux(SkewShape(nu, lam), mu)
+        # a zero coefficient has no certificates, and nu/lam may not be a shape
+        certs = enumerate_lr_tableaux(SkewShape(nu, lam), mu) if value else []
     if args.format == "json":
         doc = {"lambda": render(lam), "mu": render(mu), "nu": render(nu),
                "coefficient": value}
@@ -182,11 +189,10 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = max(1, args.jobs)
     if args.theorem == "odd":
-        report = detection.verify_odd_theorem(args.max_size, jobs=jobs)
+        report = detection.verify_odd_theorem(args.max_size, jobs=args.jobs)
     else:
-        report = detection.verify_even_theorem(args.max_size, jobs=jobs)
+        report = detection.verify_even_theorem(args.max_size, jobs=args.jobs)
     if args.format == "json":
         for entry in report.entries:
             print(json.dumps(entry))

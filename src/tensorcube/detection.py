@@ -17,7 +17,6 @@ family must be detected with a valid witness.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -289,6 +288,9 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
     jobs = min(jobs, len(items), os.cpu_count() or 1)
     if jobs <= 1:
         return [fn(item) for item in items]
+    # imported here so that serial sweeps and every other command never pay
+    # for loading multiprocessing at start-up
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (4 * jobs))
         return list(pool.map(fn, items, chunksize=chunk))

@@ -75,17 +75,19 @@ def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     The coefficient is symmetric in the two lower shapes, so both orders
     share one entry of the shared store (keyed with the smaller of the pair
     first, compared by size then parts); the store is capped by the
-    ``TENSORCUBE_CACHE_CAP`` environment variable."""
+    ``TENSORCUBE_CACHE_CAP`` environment variable. Only triples that pass
+    both containment checks are stored, so a hit skips those checks."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if nu.size != lam.size + mu.size:
+    lam_size, mu_size = lam.size, mu.size
+    if nu.size != lam_size + mu_size:
         return 0
-    if not contains(lam, nu) or not contains(mu, nu):
-        return 0
-    if (mu.size, mu) < (lam.size, lam):
+    if (mu_size, mu) < (lam_size, lam):
         lam, mu = mu, lam
     key = (lam, mu, nu)
     value = _shared_cache.get(key)
     if value is None:
+        if not contains(lam, nu) or not contains(mu, nu):
+            return 0
         value = checked(count_lr_fillings(SkewShape(nu, lam), mu))
         _store(key, value)
     return value

@@ -2,6 +2,8 @@
 format switches."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -48,6 +50,14 @@ def test_lr_certificates_include_golden_diagram(capsys, datadir):
     golden = (datadir / "first_lrt.txt").read_text()
     assert golden.rstrip("\n") in out
     assert out.count(". . . 1 1 1") == 3  # all three tableaux share row 1
+
+
+def test_lr_certificates_of_a_zero_coefficient(capsys):
+    # nu/lam is no skew shape here: (3) does not fit inside (2,2)
+    assert run(capsys, "lr", "3", "1", "2,2", "--certificates") == (0, "0\n")
+    code, out = run(capsys, "lr", "3", "1", "2,2", "--certificates", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["certificates"] == []
 
 
 def test_lr_polynomial_backend_agrees(capsys):
@@ -179,6 +189,32 @@ def test_verify_jobs_deterministic(capsys):
     _, one = run(capsys, "verify", "even", "--max-size", "4")
     _, two = run(capsys, "verify", "even", "--max-size", "4", "--jobs", "2")
     assert one == two
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "even", "--max-size", "4", "--jobs", jobs])
+    assert excinfo.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_serial_sweep_never_loads_the_process_pool():
+    script = (
+        "import contextlib, io, sys\n"
+        "from tensorcube.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', 'even', '--max-size', '4'])\n"
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "sys.exit(f'exit {code}, loaded {sorted(loaded)}' if code or loaded else 0)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- render ---

@@ -278,7 +278,7 @@ class RecordingExecutor:
     (None, 100000, []),  # unknown CPU count: serial, no pool
 ])
 def test_sweep_workers_bounded_by_cpus_and_items(monkeypatch, cpus, jobs, expected):
-    monkeypatch.setattr(detection, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(detection.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     report = verify_even_theorem(4, jobs=jobs)

@@ -20,6 +20,7 @@ from tensorcube import (
     tensor_decompose,
 )
 from tensorcube.lr import checked
+from tensorcube.partitions import contains
 from tensorcube.newell_littlewood import _product
 
 
@@ -80,14 +81,23 @@ def test_conjugation_identity():
 # --- memoization ---
 
 def test_memo_matches_direct():
-    for n in range(8):
-        for nu in all_partitions(n):
-            for k in range(n + 1):
-                for lam in all_partitions(k):
-                    for mu in all_partitions(n - k):
-                        assert lr_coefficient_memo(lam, mu, nu) == lr_coefficient(
-                            lam, mu, nu
-                        )
+    """Every triple of matching sizes with |nu| <= 7, the store cold on the
+    first pass and warm on the second; triples that fail containment, such
+    as ((2,2),(1),(3,1,1)), must never be answered from the store."""
+    triples = [(lam, mu, nu)
+               for n in range(8)
+               for nu in all_partitions(n)
+               for k in range(n + 1)
+               for lam in all_partitions(k)
+               for mu in all_partitions(n - k)]
+    assert (Partition((2, 2)), Partition((1,)), Partition((3, 1, 1))) in triples
+    clear_cache()
+    for _ in range(2):
+        for lam, mu, nu in triples:
+            assert lr_coefficient_memo(lam, mu, nu) == lr_coefficient(lam, mu, nu), (lam, mu, nu)
+    for lam, mu, nu in lr._shared_cache:
+        assert contains(lam, nu) and contains(mu, nu)
+    clear_cache()
 
 
 def test_memo_normalizes_argument_order():
@@ -116,6 +126,18 @@ def test_memo_poisoned_cache_is_trusted():
     key = next(iter(lr._shared_cache))
     lr._shared_cache[key] = 99
     assert lr_coefficient_memo((1,), (1,), (2,)) == 99
+    clear_cache()
+
+
+def test_memo_hit_skips_containment_checks(monkeypatch):
+    clear_cache()
+    value = lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1))
+
+    def refuse(*args):
+        raise AssertionError("containment checked on a hit")
+
+    monkeypatch.setattr(lr, "contains", refuse)
+    assert lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1)) == value == 2
     clear_cache()
 
 
