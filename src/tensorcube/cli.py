@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("plain", "json", "ascii-diagram"),
                         default="plain", help="output format")
-    shared.add_argument("--jobs", type=_positive_int, default=1,
-                        help="parallel workers for sweeps (a positive integer)")
 
     parser = argparse.ArgumentParser(
         prog="tensorcube",
@@ -90,6 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exhaustive verification sweeps")
     p.add_argument("theorem", choices=("odd", "even"))
     p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers for the sweep (a positive integer)")
 
     p = sub.add_parser("render", parents=[shared],
                        help="draw a Young or skew diagram")

@@ -102,7 +102,7 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
     if expansion is None:
         tally: dict[tuple, int] = {}
         if contains(inner, outer):
-            def bump(rows, counts):
+            def bump(fill, counts):
                 found = tuple(counts)
                 tally[found] = tally.get(found, 0) + 1
             # row i of a lattice filling uses letters up to i + 1 only

@@ -128,11 +128,11 @@ def _kostka(shape: Partition, cont: Partition) -> int:
         return 0
     hits = 0
 
-    def bump(rows, counts):
+    def bump(fill, counts):
         nonlocal hits
         hits += 1
 
-    _search(SkewShape(shape, Partition(())), len(cont), list(cont), False, bump)
+    _search(SkewShape(shape, Partition(())), len(cont), cont, False, bump)
     return hits
 
 

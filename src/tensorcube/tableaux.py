@@ -3,9 +3,12 @@ lattice-word conditions, and backtracking enumeration of fillings.
 
 The search core fills boxes top to bottom and right to left within each row,
 which is exactly the reading-word order: the lattice condition becomes a
-prefix property and prunes the search as early as possible. The same core,
-with the quota and lattice checks switched off, enumerates plain semistandard
-fillings (used by the polynomial cross-check).
+prefix property and prunes the search as early as possible. It plans each box
+once per search (its flat cell, its upper and right neighbours, and a letter
+cap from the skew boxes below it in its column), then backtracks over one
+flat list of entries, so fillings come out in lexicographic order of the
+reading word. The same core, with the quota and lattice checks switched off,
+enumerates plain semistandard fillings (used by the polynomial cross-check).
 """
 
 from __future__ import annotations
@@ -130,46 +133,90 @@ def is_lr_tableau(tableau: SkewTableau) -> bool:
     return is_semistandard(tableau) and is_lattice(word(tableau))
 
 
-def _search(shape: SkewShape, nletters: int, quota: list[int] | None,
+def _search(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
             lattice: bool, on_leaf: Callable) -> None:
-    """Backtracking core over the reading-word box order.
+    """Backtracking core over the reading-word box order, calling
+    ``on_leaf(fill, counts)`` once per filling, in lexicographic order of
+    the reading word.
 
-    ``quota`` fixes the per-letter box counts (None leaves them free);
-    ``counts`` doubles as the lattice prefix tally because boxes are filled
-    in reading order.
+    ``fill`` holds the entries in one flat row-major list, skew boxes only,
+    followed by two sentinel cells: ``fill[-2] = 0`` stands for "no box
+    above" and ``fill[-1] = nletters`` for "no right neighbour".
+    ``counts[x]`` tallies the letter ``x``; it doubles as the lattice prefix
+    tally because boxes are filled in reading order, and ``counts[0]`` is a
+    sentinel larger than any tally, so the letter 1 always passes; only
+    ``counts[1:]`` are tallies. Both lists are reused between leaves, so
+    ``on_leaf`` copies what it keeps.
+
+    ``quota`` fixes the per-letter box counts (None leaves them free, as a
+    quota of ``size + 1`` that no tally reaches); without ``lattice`` the
+    lattice test compares against a row of such ceilings instead.
+
+    Each box is planned once as ``(cell, above, right, cap)``: its index in
+    ``fill``, the indices of its upper and right neighbours (or a sentinel),
+    and its largest possible letter, ``nletters`` minus the number of skew
+    boxes below it in its column. The cap is sound because column
+    strictness gives those boxes strictly larger letters, all at most
+    ``nletters``; a larger letter here has no completion, so no leaf is
+    lost and the leaf order is unchanged.
     """
-    spans = [shape.row_span(i) for i in range(len(shape.outer))]
-    boxes = [(i, j, lo) for i, (lo, hi) in enumerate(spans) for j in range(hi - 1, lo - 1, -1)]
-    rows = [[0] * (hi - lo) for lo, hi in spans]
-    counts = [0] * (nletters + 1)
-    nboxes = len(boxes)
+    outer, inner = shape.outer, shape.inner
+    foot = [0] * (outer[0] if outer else 0)
+    j = 0
+    for i in range(len(outer) - 1, -1, -1):
+        while j < outer[i]:
+            foot[j] = i  # the lowest row of column j
+            j += 1
+    plan = []
+    start = 0
+    above_lo = above_start = len(foot)  # row 0 has no row above it
+    for i, hi in enumerate(outer):
+        lo = inner[i] if i < len(inner) else 0
+        for j in range(hi - 1, lo - 1, -1):
+            cell = start + j - lo
+            plan.append((cell, above_start + j - above_lo if j >= above_lo else -2,
+                         cell + 1 if j + 1 < hi else -1, nletters - foot[j] + i))
+        above_lo, above_start = lo, start
+        start += hi - lo
+    size = len(plan)
+    fill = [0] * (size + 2)
+    fill[-1] = nletters
+    counts = [size + 1] + [0] * nletters
+    ceiling = [0, *quota] if quota is not None else [size + 1] * (nletters + 1)
+    bar = counts if lattice else [size + 1] * (nletters + 1)
+    last = size - 1
 
     def place(k: int) -> None:
-        if k == nboxes:
-            on_leaf(rows, counts)
-            return
-        i, j, lo = boxes[k]
-        top = rows[i][j + 1 - lo] if j + 1 < spans[i][1] else nletters
-        if i:
-            plo = spans[i - 1][0]
-            bottom = rows[i - 1][j - plo] + 1 if plo <= j else 1
-        else:
-            bottom = 1
-        for x in range(bottom, top + 1):
-            if quota is not None and not quota[x - 1]:
-                continue
-            if lattice and x > 1 and counts[x - 1] <= counts[x]:
-                continue
-            rows[i][j - lo] = x
-            counts[x] += 1
-            if quota is not None:
-                quota[x - 1] -= 1
-            place(k + 1)
-            counts[x] -= 1
-            if quota is not None:
-                quota[x - 1] += 1
+        cell, above, right, cap = plan[k]
+        top = fill[right]
+        for x in range(fill[above] + 1, (top if top < cap else cap) + 1):
+            c = counts[x]
+            if c < ceiling[x] and bar[x - 1] > c:
+                fill[cell] = x
+                counts[x] = c + 1
+                if k == last:
+                    on_leaf(fill, counts)
+                else:
+                    place(k + 1)
+                counts[x] = c
 
-    place(0)
+    if size:
+        place(0)
+    else:
+        on_leaf(fill, counts)
+
+
+def _collect(shape: SkewShape, out: list[SkewTableau]) -> Callable:
+    """A leaf callback that slices the rows out of ``fill`` and appends the
+    tableau to ``out``."""
+    cuts = []
+    start = 0
+    for i in range(len(shape.outer)):
+        lo, hi = shape.row_span(i)
+        cuts.append((start, start + hi - lo))
+        start += hi - lo
+    return lambda fill, counts: out.append(
+        SkewTableau(shape, [fill[a:b] for a, b in cuts]))
 
 
 def count_lr_fillings(shape: SkewShape, cont: Iterable[int]) -> int:
@@ -180,11 +227,11 @@ def count_lr_fillings(shape: SkewShape, cont: Iterable[int]) -> int:
         return 0
     hits = 0
 
-    def bump(rows, counts):
+    def bump(fill, counts):
         nonlocal hits
         hits += 1
 
-    _search(shape, len(cont), list(cont), True, bump)
+    _search(shape, len(cont), cont, True, bump)
     return hits
 
 
@@ -195,8 +242,7 @@ def enumerate_lr_tableaux(shape: SkewShape, cont: Iterable[int]) -> list[SkewTab
     out: list[SkewTableau] = []
     if shape.size != cont.size:
         return out
-    _search(shape, len(cont), list(cont), True,
-            lambda rows, counts: out.append(SkewTableau(shape, tuple(tuple(r) for r in rows))))
+    _search(shape, len(cont), cont, True, _collect(shape, out))
     return out
 
 
@@ -205,8 +251,7 @@ def enumerate_semistandard_tableaux(shape: SkewShape, max_entry: int) -> list[Sk
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
     out: list[SkewTableau] = []
-    _search(shape, max_entry, None, False,
-            lambda rows, counts: out.append(SkewTableau(shape, tuple(tuple(r) for r in rows))))
+    _search(shape, max_entry, None, False, _collect(shape, out))
     return out
 
 
@@ -217,7 +262,7 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
     out: dict[tuple[int, ...], int] = {}
 
-    def bump(rows, counts):
+    def bump(fill, counts):
         key = tuple(counts[1:])
         out[key] = out.get(key, 0) + 1
 

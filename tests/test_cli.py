@@ -199,6 +199,21 @@ def test_jobs_must_be_positive(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["lr", "1", "1", "2"], ["detect", "2"],
+                                  ["nl", "1", "1", "2", "--support"]])
+def test_jobs_only_on_verify(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--jobs", "2"])
+    assert excinfo.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_takes_jobs(capsys):
+    code, out = run(capsys, "verify", "even", "--max-size", "4", "--jobs", "2")
+    assert code == 0
+    assert out
+
+
 def test_serial_sweep_never_loads_the_process_pool():
     script = (
         "import contextlib, io, sys\n"

@@ -1,6 +1,7 @@
 """Skew shapes, reading words, the LR conditions, and enumeration,
 cross-checked against a label-everything brute-force counter."""
 
+import functools
 import itertools
 
 import pytest
@@ -25,6 +26,19 @@ from tensorcube.tableaux import (
     tableau_json,
     word,
 )
+
+# brute_lr is pure and slow; the two brute-force tests share its values
+brute_lr = functools.lru_cache(maxsize=None)(brute_lr)
+
+
+def skew_shapes(max_outer):
+    """Every skew shape with at most ``max_outer`` boxes in the outer shape,
+    the empty shape included."""
+    return [SkewShape(outer, inner)
+            for n in range(max_outer + 1) for outer in gen_partitions(n)
+            for m in range(n + 1) for inner in gen_partitions(m)
+            if len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))]
+
 
 WORKED = SkewTableau(
     SkewShape((6, 4, 4, 2), (3, 2, 1)),
@@ -148,15 +162,7 @@ def test_count_zero_on_size_mismatch():
 
 def test_enumeration_outputs_are_lr():
     """Every enumerated tableau passes the predicate, shapes up to 10 boxes."""
-    shapes = []
-    for n in range(11):
-        for outer in gen_partitions(n):
-            for m in range(n + 1):
-                for inner in gen_partitions(m):
-                    if len(inner) <= len(outer) and all(
-                        inner[i] <= outer[i] for i in range(len(inner))
-                    ):
-                        shapes.append(SkewShape(outer, inner))
+    shapes = skew_shapes(10)
     for shape in shapes:
         k = shape.size
         for cont in gen_partitions(k):
@@ -168,20 +174,23 @@ def test_enumeration_outputs_are_lr():
 def test_counts_match_brute_force():
     """Engine count equals the try-every-labeling count for all skew
     shapes with outer size up to 7."""
-    for n in range(8):
-        for outer in gen_partitions(n):
-            for m in range(n + 1):
-                for inner in gen_partitions(m):
-                    if len(inner) > len(outer):
-                        continue
-                    if any(inner[i] > outer[i] for i in range(len(inner))):
-                        continue
-                    shape = SkewShape(outer, inner)
-                    for cont in gen_partitions(shape.size):
-                        got = count_lr_fillings(shape, cont)
-                        assert got == brute_lr(inner, cont, outer), (
-                            outer, inner, cont,
-                        )
+    for shape in skew_shapes(7):
+        for cont in gen_partitions(shape.size):
+            got = count_lr_fillings(shape, cont)
+            assert got == brute_lr(shape.inner, cont, shape.outer), (
+                shape.outer, shape.inner, cont,
+            )
+
+
+def test_enumeration_is_in_reading_word_order():
+    """The search lists fillings in strictly increasing lexicographic order
+    of the reading word (certificates and the first witness tableau depend
+    on it), one per brute-force filling, for outer size up to 7."""
+    for shape in skew_shapes(7):
+        for cont in gen_partitions(shape.size):
+            words = [word(t) for t in enumerate_lr_tableaux(shape, cont)]
+            assert all(a < b for a, b in zip(words, words[1:])), (shape, cont)
+            assert len(words) == brute_lr(shape.inner, cont, shape.outer), (shape, cont)
 
 
 # --- semistandard enumeration (no lattice condition) ---
@@ -205,14 +214,16 @@ def test_ssyt_content_counts():
 
 
 def test_ssyt_brute_force_small():
-    """Semistandard enumeration agrees with direct labeling filters."""
-    for outer in [(2, 1), (2, 2), (3, 1)]:
-        shape = SkewShape(outer, ())
-        for m in (2, 3):
-            n = shape.size
-            boxes = list(shape.boxes())
+    """Semistandard enumeration agrees with direct labeling filters on every
+    skew shape with outer size up to 6 and entries up to 0..3, including
+    columns taller than the largest entry."""
+    shapes = skew_shapes(6)
+    assert SkewShape((), ()) in shapes and SkewShape((1, 1, 1, 1), ()) in shapes
+    for shape in shapes:
+        boxes = shape.boxes()
+        for m in range(4):
             valid = 0
-            for labels in itertools.product(range(1, m + 1), repeat=n):
+            for labels in itertools.product(range(1, m + 1), repeat=len(boxes)):
                 grid = dict(zip(boxes, labels))
                 ok = True
                 for (i, j), v in grid.items():
@@ -222,7 +233,21 @@ def test_ssyt_brute_force_small():
                         ok = False
                 if ok:
                     valid += 1
-            assert len(enumerate_semistandard_tableaux(shape, m)) == valid
+            assert len(enumerate_semistandard_tableaux(shape, m)) == valid, (shape, m)
+
+
+def test_ssyt_content_counts_match_enumeration():
+    """The content histogram counts exactly the enumerated fillings."""
+    for shape in skew_shapes(6):
+        for m in range(4):
+            found = enumerate_semistandard_tableaux(shape, m)
+            expected: dict = {}
+            for t in found:
+                key = (content(t) + (0,) * m)[:m]
+                expected[key] = expected.get(key, 0) + 1
+            counts = semistandard_content_counts(shape, m)
+            assert sum(counts.values()) == len(found)
+            assert counts == expected, (shape, m)
 
 
 # --- rendering ---
