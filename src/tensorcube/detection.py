@@ -5,9 +5,9 @@ irreducible, i.e. the self-pairing structure constant is positive. Four shape
 families guarantee detection for even sizes: all parts even; distinct odd
 parts with evenly many rows; hooks; rectangles. Each family witness is a
 triangle (alpha, beta, gamma) of half-size partitions plus three certificate
-tableaux, built by explicit greedy fillings, validated, and recovered by
-exhaustive search when a degenerate edge makes the direct construction
-inapplicable.
+tableaux, built by explicit greedy fillings and validated. When a degenerate
+edge makes the direct construction inapplicable, the witness is the first
+triangle of the self-pairing sum, certified by enumerated tableaux.
 
 The verification sweeps are exhaustive over bounded sizes: odd sizes must all
 vanish (checked through the unshortcut sum), and even sizes matching any
@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .newell_littlewood import _subpartitions, nl_coefficient, nl_coefficient_full
+from .newell_littlewood import _triangles, nl_coefficient, nl_coefficient_full
 from .partitions import (AllEven, DistinctOddEvenLength, Hook, Partition,
                          Rectangle, classify, enumerate_partitions, render)
 from .tableaux import (SkewShape, SkewTableau, content, enumerate_lr_tableaux,
@@ -140,7 +140,7 @@ def witness_hook(lam: Iterable[int]) -> WitnessTriple:
     An odd arm halves into a single smaller hook used three times. An even
     arm uses two nearby hooks; with no arm at all the middle partition
     degenerates (its stated first part would be zero), so that edge falls
-    back to exhaustive search."""
+    back to the witness search."""
     lam = Partition(lam)
     hook = next((f for f in classify(lam) if isinstance(f, Hook)), None)
     if hook is None or lam.size % 2:
@@ -174,23 +174,13 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
 
 
 def _search_witness(lam: Partition) -> WitnessTriple:
-    """Exhaustive witness search over all half-size triangles in reverse-lex
-    order; used when a family recipe degenerates."""
-    candidates = _subpartitions(lam, lam.size // 2)
-    for alpha in candidates:
-        for beta in candidates:
-            one = enumerate_lr_tableaux(SkewShape(lam, alpha), beta)
-            if not one:
-                continue
-            for gamma in candidates:
-                two = enumerate_lr_tableaux(SkewShape(lam, beta), gamma)
-                if not two:
-                    continue
-                three = enumerate_lr_tableaux(SkewShape(lam, alpha), gamma)
-                if not three:
-                    continue
-                return WitnessTriple(alpha, beta, gamma,
-                                     (one[0], two[0], three[0]), "fallback")
+    """The first triangle of the self-pairing sum, in reverse-lex nesting
+    order, with the first enumerated tableau of each pair as certificate;
+    used when a family recipe degenerates."""
+    for alpha, beta, gamma, *_ in _triangles(lam, lam, lam):
+        certificates = tuple(enumerate_lr_tableaux(SkewShape(lam, inner), cont)[0]
+                             for inner, cont in ((alpha, beta), (beta, gamma), (alpha, gamma)))
+        return WitnessTriple(alpha, beta, gamma, certificates, "fallback")
     raise RuntimeError(f"no witness triangle exists for ({render(lam)})")
 
 

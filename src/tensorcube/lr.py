@@ -96,7 +96,7 @@ def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
 def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partition, int]:
     """s_{outer/inner} in the Schur basis, ``{beta: c(inner, beta -> outer)}``
     without zero terms, from one search with the content left free; a
-    read-only view of the memoized dict."""
+    read-only view of the memoized dict, its terms in reverse-lex order."""
     outer, inner = Partition(outer), Partition(inner)
     expansion = _shared_cache.get((outer, inner))
     if expansion is None:
@@ -108,7 +108,7 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
             # row i of a lattice filling uses letters up to i + 1 only
             _search(SkewShape(outer, inner), len(outer), None, True, bump)
         expansion = MappingProxyType({Partition(found[1:]): checked(n)
-                                      for found, n in tally.items()})
+                                      for found, n in sorted(tally.items(), reverse=True)})
         _store((outer, inner), expansion)
     return expansion
 

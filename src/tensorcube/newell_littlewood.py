@@ -43,16 +43,19 @@ def _product(beta: Partition, gamma: Partition) -> Mapping[Partition, int]:
 def _triangles(lam: Partition, mu: Partition, nu: Partition):
     """Every triangle (alpha, beta, gamma) with all three factors positive,
     as (alpha, beta, gamma, c_ab, c_ag, c_bg), in reverse-lex nesting order;
-    nothing when the total size is odd or the forced sizes go negative."""
+    nothing when the total size is odd or the forced sizes go negative. The
+    order is that of the stored subpartitions and expansions."""
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
     for alpha in _subpartitions(_meet(lam, mu), twice // 2):
         left = skew_expansion(mu, alpha)
-        for beta, cab in sorted(skew_expansion(lam, alpha).items(), reverse=True):
+        for beta, cab in skew_expansion(lam, alpha).items():
             right = skew_expansion(nu, beta)
-            for gamma in sorted(left.keys() & right.keys(), reverse=True):
-                yield alpha, beta, gamma, cab, left[gamma], right[gamma]
+            for gamma, cag in left.items():
+                cbg = right.get(gamma)
+                if cbg:
+                    yield alpha, beta, gamma, cab, cag, cbg
 
 
 def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -60,11 +63,10 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
 
     Returns 0 immediately when the total size is odd; the shortcut agrees
     with the full sum (the suite confirms this by running the sum without
-    it, see :func:`nl_coefficient_full`)."""
-    total = 0
-    for *_, cab, cag, cbg in _triangles(Partition(lam), Partition(mu), Partition(nu)):
-        total = checked(total + checked(checked(cab * cag) * cbg))
-    return total
+    it, see :func:`nl_coefficient_full`). Every term is positive, so one
+    check of the total refuses exactly the sums that leave 64-bit range."""
+    return checked(sum(cab * cag * cbg for *_, cab, cag, cbg
+                       in _triangles(Partition(lam), Partition(mu), Partition(nu))))
 
 
 def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -89,8 +91,8 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
                 for beta, cab in betas:
                     cbg = lr_coefficient_memo(beta, gamma, nu)
                     if cbg:
-                        total = checked(total + checked(checked(cab * cag) * cbg))
-    return total
+                        total += cab * cag * cbg
+    return checked(total)
 
 
 def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
@@ -117,8 +119,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of B, C, D, got {self.family!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if self.family == "D" and self.rank % 2:
             raise ValueError(f"family D requires an even rank, got {self.rank}")
 
@@ -164,7 +166,8 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     coordinate zero, i.e. length at most rank-1). The multiplicities are the
     Schur coefficients of the sum over alpha of s_{lam/alpha} * s_{mu/alpha},
     kept where the length is at most the rank; they do not depend on the
-    family, only the rank filtering does."""
+    family, only the rank filtering does. Each multiplicity is checked once
+    against 64-bit range; terms the rank filter drops are never checked."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
     for name, p in (("lambda", lam), ("mu", mu)):
@@ -182,11 +185,12 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
             right = skew_expansion(mu, alpha)
             for beta, cb in skew_expansion(lam, alpha).items():
                 for gamma, cg in right.items():
-                    weight = checked(cb * cg)
+                    weight = cb * cg
                     for nu, c in _product(beta, gamma).items():
                         if len(nu) <= n:
-                            found[nu] = checked(found.get(nu, 0) + checked(weight * c))
-    ordered = sorted(found.items(), key=lambda term: (term[0].size, term[0]), reverse=True)
+                            found[nu] = found.get(nu, 0) + weight * c
+    ordered = [(nu, checked(m)) for nu, m in
+               sorted(found.items(), key=lambda term: (term[0].size, term[0]), reverse=True)]
     aside = group.family == "D"
     terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}
     inadmissible = {nu: m for nu, m in ordered if aside and len(nu) == n}

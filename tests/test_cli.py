@@ -257,6 +257,16 @@ def test_overflow_maps_to_exit_3(capsys, monkeypatch):
     assert main(["lr", "1", "1", "2"]) == 3
 
 
+def test_nl_beyond_the_range_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(lr, "INT64_MAX", 1)
+    lr.clear_cache()
+    assert main(["nl", "2,2", "2,2", "2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficient arithmetic left 64-bit range: 2\n"
+    lr.clear_cache()
+
+
 def test_internal_failure_maps_to_exit_4(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("invariant broken")

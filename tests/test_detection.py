@@ -11,6 +11,7 @@ from tensorcube import (
     detects,
     lr_coefficient,
     nl_coefficient,
+    nl_sum_support,
     verify_even_theorem,
     verify_odd_theorem,
     witness_all_even,
@@ -117,6 +118,18 @@ def test_empty_partition_witness():
     w = witness_all_even(())
     assert w.alpha == Partition(())
     assert_sound((), w)
+
+
+def test_search_witness_is_the_first_support_triangle():
+    """Every detected even weight of size <= 12, the empty weight included."""
+    detected = [lam for n in range(0, 13, 2) for lam in all_partitions(n)
+                if nl_coefficient(lam, lam, lam)]
+    assert len(detected) == 160
+    for lam in detected:
+        w = detection._search_witness(lam)
+        assert (w.alpha, w.beta, w.gamma) == nl_sum_support(lam, lam, lam)[0], lam
+        assert w.path == "fallback"
+        assert detection._witness_ok(lam, w), lam
 
 
 # --- builder dispatch ---

@@ -16,6 +16,7 @@ from tensorcube import (
     lr_coefficient,
     lr_coefficient_memo,
     nl_coefficient,
+    nl_coefficient_full,
     skew_expansion,
     tensor_decompose,
 )
@@ -226,6 +227,17 @@ def test_skew_expansion_of_disconnected_shape_is_a_product():
                     }, (beta, gamma)
 
 
+def test_skew_expansion_terms_come_in_reverse_lex_order():
+    """Every skew shape with |outer| <= 7, including (3,2,1,1)/(2,1), whose
+    leaves come out with (3,1) before (2,2)."""
+    shapes = [(outer, inner) for n in range(8) for outer in all_partitions(n)
+              for k in range(n + 1) for inner in all_partitions(k) if contains(inner, outer)]
+    assert (Partition((3, 2, 1, 1)), Partition((2, 1))) in shapes
+    for outer, inner in shapes:
+        terms = list(skew_expansion(outer, inner))
+        assert terms == sorted(terms, reverse=True), (outer, inner)
+
+
 def test_clear_cache_drops_expansions():
     clear_cache()
     expansion = skew_expansion((3, 2, 1), (2, 1))
@@ -261,3 +273,21 @@ def test_checked_raises_beyond_int64():
 
 def test_int64_max_value():
     assert INT64_MAX == 2**63 - 1
+
+
+@pytest.mark.parametrize("compute, value", [
+    (lambda: nl_coefficient((2, 2), (2, 2), (2, 2)), 2),
+    (lambda: nl_coefficient_full((2, 2), (2, 2), (2, 2)), 2),
+    (lambda: tensor_decompose((2, 1), (1, 1), GroupSpec("B", 4)).terms[Partition((2, 1))], 2),
+], ids=["nl_coefficient", "nl_coefficient_full", "tensor_decompose"])
+def test_sum_is_checked_once_at_the_end(monkeypatch, compute, value):
+    """Every expansion coefficient and LR value involved is 1, so only the
+    returned sum can leave a cap of value - 1."""
+    monkeypatch.setattr(lr, "INT64_MAX", value - 1)
+    clear_cache()
+    with pytest.raises(OverflowError):
+        compute()
+    monkeypatch.setattr(lr, "INT64_MAX", value)
+    clear_cache()
+    assert compute() == value
+    clear_cache()

@@ -167,6 +167,12 @@ def test_group_spec_rejects_odd_rank_d():
         GroupSpec("D", 3)
 
 
+@pytest.mark.parametrize("family, rank", [("C", 2.5), ("B", True), ("D", 2.0)])
+def test_group_spec_rejects_non_integer_rank(family, rank):
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        GroupSpec(family, rank)
+
+
 def test_group_spec_rejects_unknown_family():
     with pytest.raises(ValueError):
         GroupSpec("A", 2)
