@@ -23,7 +23,9 @@ for family in ("B", "C", "D"):
     res = tensor_decompose((2, 1), (1, 1), GroupSpec(family, 6))
     terms = ", ".join(f"{render(nu) or '()'}:{m}" for nu, m in res.terms.items())
     print(f"  {family}: {terms}")
-print("  (identical term maps: the multiplicities never see the family)")
+print("  (identical term maps: lengths 2 + 2 fit rank 6, so the product is stable,")
+print("   and stable multiplicities never see the family; below the stable rank")
+print("   the output is the stable product filtered by length, not exact)")
 
 print()
 print("== rank effects for the even orthogonal family ==")

@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import detection
-from .lr import _cache_capacity, lr_coefficient
+from .lr import _cache_capacity, checked, lr_coefficient
 from .newell_littlewood import GroupSpec, _triangles, nl_coefficient, tensor_decompose
 from .oracle import lr_via_polynomials
 from .partitions import parse, render
@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="list the contributing triangles with their factors")
 
     p = sub.add_parser("decompose", parents=[shared],
-                       help="decompose a product of two irreducibles")
+                       help="decompose a product of two irreducibles (exact only when "
+                            "the input lengths sum to at most the rank: stable=true)")
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("--family", required=True, choices=("B", "C", "D"))
@@ -125,8 +126,9 @@ def _cmd_lr(args) -> int:
 
 def _cmd_nl(args) -> int:
     lam, mu, nu = parse(args.lam), parse(args.mu), parse(args.nu)
-    value = nl_coefficient(lam, mu, nu)
     support = list(_triangles(lam, mu, nu)) if args.support else None
+    value = (nl_coefficient(lam, mu, nu) if support is None
+             else checked(sum(cab * cag * cbg for *_, cab, cag, cbg in support)))
     if args.format == "json":
         doc = {"lambda": render(lam), "mu": render(mu), "nu": render(nu),
                "coefficient": value}

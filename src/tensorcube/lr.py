@@ -7,10 +7,10 @@ symmetric polynomial arithmetic so the test suite can cross-validate. Values
 are exact non-negative integers, and the arithmetic refuses to leave signed
 64-bit range instead of growing silently.
 
-The shared store is the package's one memo: coefficients, expansions and
-subpartition lists under one cap, past which each insert drops the oldest
-entry. Readers are safe under the interpreter lock; ``_store``, the only
-writer, serializes insertions and evictions.
+The shared store is the package's one memo: coefficients and expansions
+only, under one cap, past which each insert drops the oldest entry. Readers
+are safe under the interpreter lock; ``_store``, the only writer, serializes
+insertions and evictions.
 """
 
 from __future__ import annotations

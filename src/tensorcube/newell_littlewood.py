@@ -3,29 +3,19 @@ symplectic and even orthogonal families.
 
 The constant pairing three partitions sums c(alpha, beta -> lam) *
 c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles, read off
-skew-Schur expansions; the decomposition is the same sum as symmetric
-functions, the sum over alpha of s_{lam/alpha} * s_{mu/alpha}, filtered by
-rank. The constant is fully symmetric, vanishes unless the total size is
-even, and restricts to a single LR coefficient in top degree.
+skew-Schur expansions; the stable decomposition is the same sum as
+symmetric functions, the sum over alpha of s_{lam/alpha} * s_{mu/alpha}.
+The constant is fully symmetric, vanishes unless the total size is even,
+and restricts to a single LR coefficient in top degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .lr import _shared_cache, _store, checked, lr_coefficient_memo, skew_expansion
+from .lr import checked, lr_coefficient_memo, skew_expansion
 from .partitions import Partition, partitions_inside, render
-
-
-def _subpartitions(bound: Partition, size: int) -> tuple[Partition, ...]:
-    """Partitions of ``size`` fitting inside ``bound``, reverse-lex order,
-    memoized in the shared store under ``(bound, size)``."""
-    found = _shared_cache.get((bound, size))
-    if found is None:
-        found = tuple(partitions_inside(bound, size))
-        _store((bound, size), found)
-    return found
 
 
 def _meet(lam: Partition, mu: Partition) -> Partition:
@@ -33,22 +23,15 @@ def _meet(lam: Partition, mu: Partition) -> Partition:
     return Partition(min(a, b) for a, b in zip(lam, mu))
 
 
-def _product(beta: Partition, gamma: Partition) -> Mapping[Partition, int]:
-    """s_beta * s_gamma in the Schur basis: the expansion of the disconnected
-    skew shape with beta shifted right past gamma's first row, gamma below."""
-    width = gamma[0] if gamma else 0
-    return skew_expansion([b + width for b in beta] + list(gamma), [width] * len(beta))
-
-
 def _triangles(lam: Partition, mu: Partition, nu: Partition):
     """Every triangle (alpha, beta, gamma) with all three factors positive,
     as (alpha, beta, gamma, c_ab, c_ag, c_bg), in reverse-lex nesting order;
     nothing when the total size is odd or the forced sizes go negative. The
-    order is that of the stored subpartitions and expansions."""
+    order is that of the enumerated subpartitions and stored expansions."""
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
-    for alpha in _subpartitions(_meet(lam, mu), twice // 2):
+    for alpha in partitions_inside(_meet(lam, mu), twice // 2):
         left = skew_expansion(mu, alpha)
         for beta, cab in skew_expansion(lam, alpha).items():
             right = skew_expansion(nu, beta)
@@ -74,17 +57,20 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     shortcut, no expansions; every triangle allowed by the first two factors
     is visited and each factor is a separate memoized coefficient."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    meet = _meet(lam, mu)
     total = 0
     for asize in range(min(lam.size, mu.size) + 1):
-        for alpha in _subpartitions(_meet(lam, mu), asize):
+        beta_candidates = list(partitions_inside(lam, lam.size - asize))
+        gamma_candidates = list(partitions_inside(mu, mu.size - asize))
+        for alpha in partitions_inside(meet, asize):
             betas = []
-            for beta in _subpartitions(lam, lam.size - asize):
+            for beta in beta_candidates:
                 cab = lr_coefficient_memo(alpha, beta, lam)
                 if cab:
                     betas.append((beta, cab))
             if not betas:
                 continue
-            for gamma in _subpartitions(mu, mu.size - asize):
+            for gamma in gamma_candidates:
                 cag = lr_coefficient_memo(alpha, gamma, mu)
                 if not cag:
                     continue
@@ -138,7 +124,8 @@ class DecompositionResult:
     degree, degrees descending). For family D, weights that use all ``rank``
     rows are reported in ``inadmissible`` rather than dropped or trusted.
     ``stable`` is set when the input lengths sum to at most the rank, which
-    keeps every output weight inside the rank filter."""
+    keeps every output weight inside the rank filter; without it the map is
+    the stable product filtered by length, not the decomposition."""
 
     group: GroupSpec
     left: Partition
@@ -164,10 +151,11 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
 
     Inputs must fit the rank (family D additionally needs the last weight
     coordinate zero, i.e. length at most rank-1). The multiplicities are the
-    Schur coefficients of the sum over alpha of s_{lam/alpha} * s_{mu/alpha},
-    kept where the length is at most the rank; they do not depend on the
-    family, only the rank filtering does. Each multiplicity is checked once
-    against 64-bit range; terms the rank filter drops are never checked."""
+    stable product, the Schur coefficients of the sum over alpha of
+    s_{lam/alpha} * s_{mu/alpha}, filtered by length; they are exact only
+    when ``stable`` is true (for C2, (1,1) x (1,1) has dimension 25, the
+    terms add up to 30). Each multiplicity is checked once against 64-bit
+    range; terms the rank filter drops are never checked."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
     for name, p in (("lambda", lam), ("mu", mu)):
@@ -180,15 +168,17 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     n = group.rank
     found: dict[Partition, int] = {}
     meet = _meet(lam, mu)
+    # s_{lam/alpha} * s_{mu/alpha} expands one disconnected shape: lam/alpha
+    # shifted right past mu's first row (alpha fits in mu, so the inner shape
+    # is a partition) above mu/alpha; the blocks share no row and no column.
+    w = mu[0] if mu else 0
+    outer = [part + w for part in lam] + list(mu)
     for asize in range(meet.size + 1):
-        for alpha in _subpartitions(meet, asize):
-            right = skew_expansion(mu, alpha)
-            for beta, cb in skew_expansion(lam, alpha).items():
-                for gamma, cg in right.items():
-                    weight = cb * cg
-                    for nu, c in _product(beta, gamma).items():
-                        if len(nu) <= n:
-                            found[nu] = found.get(nu, 0) + weight * c
+        for alpha in partitions_inside(meet, asize):
+            inner = [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha)
+            for nu, c in skew_expansion(outer, inner).items():
+                if len(nu) <= n:
+                    found[nu] = found.get(nu, 0) + c
     ordered = [(nu, checked(m)) for nu, m in
                sorted(found.items(), key=lambda term: (term[0].size, term[0]), reverse=True)]
     aside = group.family == "D"

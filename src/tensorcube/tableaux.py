@@ -282,12 +282,12 @@ def ascii_diagram(tableau: SkewTableau) -> str:
     return "\n".join(" ".join(c.rjust(width) for c in cells) for cells in cells_by_row)
 
 
-def shape_diagram(shape: SkewShape, box: str = "#") -> str:
-    """Diagram of the bare shape: ``.`` for inner boxes, ``box`` for cells."""
+def shape_diagram(shape: SkewShape) -> str:
+    """Diagram of the bare shape: ``.`` for inner boxes, ``#`` for cells."""
     lines = []
     for i in range(len(shape.outer)):
         lo, hi = shape.row_span(i)
-        lines.append(" ".join(["."] * lo + [box] * (hi - lo)))
+        lines.append(" ".join(["."] * lo + ["#"] * (hi - lo)))
     return "\n".join(lines)
 
 

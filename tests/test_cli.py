@@ -11,6 +11,7 @@ import pytest
 
 from tensorcube import Partition, lr, parse
 from tensorcube.cli import main
+from tensorcube.newell_littlewood import _triangles
 
 
 def run(capsys, *argv):
@@ -83,6 +84,31 @@ def test_nl_support_listing(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "1"
     assert lines[1] == "alpha=1 beta=1 gamma=1 factors=1*1*1"
+
+
+def test_nl_support_walks_the_triangles_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _triangles(*args)
+
+    monkeypatch.setattr("tensorcube.cli._triangles", counted)
+    monkeypatch.setattr("tensorcube.newell_littlewood._triangles", counted)
+    code, out = run(capsys, "nl", "2,2", "2,2", "2,2", "--support")
+    assert code == 0
+    assert out.splitlines()[0] == "2"
+    assert len(calls) == 1
+
+
+def test_nl_support_beyond_the_range_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(lr, "INT64_MAX", 1)
+    lr.clear_cache()
+    assert main(["nl", "2,2", "2,2", "2,2", "--support"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficient arithmetic left 64-bit range: 2\n"
+    lr.clear_cache()
 
 
 def test_nl_empty_arguments(capsys):

@@ -22,7 +22,6 @@ from tensorcube import (
 )
 from tensorcube.lr import checked
 from tensorcube.partitions import contains
-from tensorcube.newell_littlewood import _product
 
 
 def all_partitions(n):
@@ -192,7 +191,9 @@ def test_clear_cache_reaches_every_memo():
     clear_cache()
     nl_coefficient((3, 2, 1), (2, 1), (3, 2))
     tensor_decompose((2, 1), (2, 1), GroupSpec("C", 3))
-    assert any(isinstance(key[1], int) for key in lr._shared_cache)  # subpartitions
+    assert lr._shared_cache
+    for key in lr._shared_cache:  # LR triples and (outer, inner) expansions only
+        assert len(key) in (2, 3) and all(isinstance(p, Partition) for p in key), key
     clear_cache()
     assert lr._shared_cache == {}
 
@@ -216,13 +217,16 @@ def test_skew_expansion_matches_coefficients():
 
 
 def test_skew_expansion_of_disconnected_shape_is_a_product():
-    """s_beta * s_gamma from one expansion, |beta| + |gamma| <= 7."""
+    """s_beta * s_gamma, |beta| + |gamma| <= 7: the top degree of a stable
+    decomposition, which reads each product off one disconnected shape."""
     for n in range(8):
         for k in range(n + 1):
             for beta in all_partitions(k):
                 for gamma in all_partitions(n - k):
+                    group = GroupSpec("C", max(1, len(beta) + len(gamma)))
+                    terms = tensor_decompose(beta, gamma, group).terms
                     expected = {nu: lr_coefficient(beta, gamma, nu) for nu in all_partitions(n)}
-                    assert _product(beta, gamma) == {
+                    assert {nu: c for nu, c in terms.items() if nu.size == n} == {
                         nu: c for nu, c in expected.items() if c
                     }, (beta, gamma)
 

@@ -304,6 +304,24 @@ def test_decomposition_matches_full_sum(inputs):
         assert not res.inadmissible
 
 
+def test_stable_decompositions_match_brute_force_oracle():
+    """Every pair with |lam| + |mu| <= 5 (74 pairs), decomposed at the
+    smallest stable rank, gives exactly the nonzero from-scratch triple sums."""
+    pairs = [(lam, mu) for n in range(6) for k in range(n + 1)
+             for lam in all_partitions(k) for mu in all_partitions(n - k)]
+    assert len(pairs) == 74
+    for lam, mu in pairs:
+        res = tensor_decompose(lam, mu, GroupSpec("C", max(1, len(lam) + len(mu))))
+        assert res.stable
+        expected = {}
+        for size in range(lam.size + mu.size + 1):
+            for nu in all_partitions(size):
+                value = brute_nl(lam, mu, nu)
+                if value:
+                    expected[nu] = value
+        assert res.terms == expected, (lam, mu)
+
+
 def test_stable_flag():
     assert tensor_decompose((1,), (1,), GroupSpec("B", 2)).stable
     assert not tensor_decompose((2, 1), (1, 1), GroupSpec("B", 3)).stable
