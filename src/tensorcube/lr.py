@@ -107,8 +107,11 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
                 tally[found] = tally.get(found, 0) + 1
             # row i of a lattice filling uses letters up to i + 1 only
             _search(SkewShape(outer, inner), len(outer), None, True, bump)
-        expansion = MappingProxyType({Partition(found[1:]): checked(n)
-                                      for found, n in sorted(tally.items(), reverse=True)})
+        # counts[1:] is weakly decreasing (a lattice word's content), so its
+        # zeros are a suffix: one slice drops them with the sentinel
+        expansion = MappingProxyType({
+            Partition(found[1:found.index(0) if found[-1] == 0 else len(found)]): checked(n)
+            for found, n in sorted(tally.items(), reverse=True)})
         _store((outer, inner), expansion)
     return expansion
 

@@ -64,7 +64,8 @@ def parse(text: str) -> Partition:
     """Parse comma-separated terms ``p`` or ``p^a`` into a partition.
 
     ``"4^2,3,1^2"`` gives (4,4,3,1,1); the empty string gives the empty
-    partition. Inverse of :func:`render`.
+    partition. Text that would give more than ``ENUMERATION_LIMIT`` parts is
+    refused before any part is allocated. Inverse of :func:`render`.
     """
     text = text.strip()
     if not text:
@@ -81,6 +82,9 @@ def parse(text: str) -> Partition:
             raise ValueError(f"partition parts must be positive, got {value} in {text!r}")
         if count < 1:
             raise ValueError(f"multiplicity must be positive, got {count} in {text!r}")
+        if len(parts) + count > ENUMERATION_LIMIT:
+            raise ValueError(
+                f"partition bounded to <= {ENUMERATION_LIMIT} parts, got more in {text!r}")
         parts.extend([value] * count)
     for a, b in itertools.pairwise(parts):
         if a < b:

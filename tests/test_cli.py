@@ -163,6 +163,14 @@ def test_detect_exit_codes(capsys):
     assert main(["detect", "4,3,2,1"]) == 0
 
 
+def test_detect_too_many_parts_exits_2(capsys):
+    assert main(["detect", "1^1000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_detect_plain_fields(capsys):
     code, out = run(capsys, "detect", "7,5,3,1")
     assert "N=8029" in out

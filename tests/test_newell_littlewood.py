@@ -10,12 +10,14 @@ from tensorcube import (
     GroupSpec,
     Partition,
     enumerate_partitions,
+    lr,
     lr_coefficient,
     nl_coefficient,
     nl_coefficient_full,
     nl_sum_support,
     tensor_decompose,
 )
+from tensorcube.partitions import partitions_inside
 
 
 def all_partitions(n):
@@ -36,6 +38,8 @@ def test_square_values_on_small_diagonals():
     assert nl_coefficient((2, 2), (2, 2), (2, 2)) == 2
     assert nl_coefficient((3, 3), (3, 3), (3, 3)) == 2
     assert nl_coefficient((2, 1), (2, 1), (2, 1)) == 0
+    lam = (7, 6, 5, 4, 3, 1)
+    assert nl_coefficient(lam, lam, lam) == 14916516
 
 
 def test_mixed_parity_distinct_shape_value():
@@ -131,8 +135,12 @@ def test_support_lists_contributing_triples():
 
 
 def test_support_sum_reproduces_coefficient():
+    """Sizes 3 and 5 of mu give an s_{mu/alpha} both shorter and longer
+    than s_{nu/beta}, so both branches of the dot product run; size 1 only
+    the longer one, and size 2 an odd total, where both sides are 0."""
+    mus = [mu for size in (1, 2, 3, 5) for mu in all_partitions(size)]
     for lam in all_partitions(3):
-        for mu in all_partitions(3):
+        for mu in mus:
             for nu in all_partitions(4):
                 total = 0
                 for alpha, beta, gamma in nl_sum_support(lam, mu, nu):
@@ -142,6 +150,28 @@ def test_support_sum_reproduces_coefficient():
                         * lr_coefficient(beta, gamma, nu)
                     )
                 assert total == nl_coefficient(lam, mu, nu)
+
+
+def test_one_search_per_expansion_per_call(monkeypatch):
+    """Each nu/beta expansion is searched once per call, not once per alpha
+    that reaches beta: with the store off, the searches are two per alpha
+    and one per distinct beta."""
+    lam = Partition((4, 3, 2, 1))
+    alphas = partitions_inside(lam, lam.size // 2)
+    betas = {beta for alpha in alphas for beta in lr.skew_expansion(lam, alpha)}
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    search = lr._search
+    lr.clear_cache()
+    monkeypatch.setattr(lr, "_cap", 0)
+    monkeypatch.setattr(lr, "_search", counted)
+    assert nl_coefficient(lam, lam, lam) == 324
+    assert 2 * len(alphas) + len(betas) == 15
+    assert len(searches) <= 15
 
 
 def test_support_empty_when_sizes_cannot_balance():
