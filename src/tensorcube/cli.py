@@ -45,6 +45,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("plain", "json", "ascii-diagram"),
@@ -79,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("--family", required=True, choices=("B", "C", "D"))
-    p.add_argument("--rank", required=True, type=int)
+    p.add_argument("--rank", required=True, type=_positive_int,
+                   help="rank of the group (a positive integer; even for D)")
 
     p = sub.add_parser("detect", parents=[shared],
                        help="cube-detection verdict for one weight")
@@ -88,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[shared],
                        help="exhaustive verification sweeps")
     p.add_argument("theorem", choices=("odd", "even"))
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_non_negative_int, required=True,
+                   help="largest weight size to sweep (a non-negative integer)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers for the sweep (a positive integer)")
 

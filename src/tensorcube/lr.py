@@ -93,6 +93,28 @@ def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     return value
 
 
+def _tally(tally: dict[tuple, int], outer: Partition, inner: Iterable[int],
+           nletters: int) -> None:
+    """Add the content of every lattice filling of outer/inner with letters
+    1..nletters into ``tally``, keyed by ``tuple(counts)``: the sentinel
+    ``size + 1``, then the count of each letter. With one letter count,
+    equal weights share a key whatever shape they came from."""
+    def bump(fill, counts):
+        found = tuple(counts)
+        tally[found] = tally.get(found, 0) + 1
+    _search(SkewShape(outer, inner), nletters, None, True, bump)
+
+
+def _terms(tally: dict[tuple, int]) -> dict[Partition, int]:
+    """The tallied weights with their checked multiplicities, degrees
+    descending and reverse-lex within each degree (the sentinel leads each
+    key, and weights of one size compare as their zero-padded counts do)."""
+    # counts[1:] is weakly decreasing (a lattice word's content), so its
+    # zeros are a suffix: one slice drops them with the sentinel
+    return {Partition(found[1:found.index(0) if found[-1] == 0 else len(found)]): checked(n)
+            for found, n in sorted(tally.items(), reverse=True)}
+
+
 def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partition, int]:
     """s_{outer/inner} in the Schur basis, ``{beta: c(inner, beta -> outer)}``
     without zero terms, from one search with the content left free; a
@@ -102,16 +124,9 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
     if expansion is None:
         tally: dict[tuple, int] = {}
         if contains(inner, outer):
-            def bump(fill, counts):
-                found = tuple(counts)
-                tally[found] = tally.get(found, 0) + 1
             # row i of a lattice filling uses letters up to i + 1 only
-            _search(SkewShape(outer, inner), len(outer), None, True, bump)
-        # counts[1:] is weakly decreasing (a lattice word's content), so its
-        # zeros are a suffix: one slice drops them with the sentinel
-        expansion = MappingProxyType({
-            Partition(found[1:found.index(0) if found[-1] == 0 else len(found)]): checked(n)
-            for found, n in sorted(tally.items(), reverse=True)})
+            _tally(tally, outer, inner, len(outer))
+        expansion = MappingProxyType(_terms(tally))
         _store((outer, inner), expansion)
     return expansion
 

@@ -8,7 +8,9 @@ terms beta of s_{lam/alpha}, the first factor times the dot product of
 s_{mu/alpha} with s_{nu/beta}. The triangles themselves are walked only for
 the support listing and the witness search. The stable decomposition is the
 same sum as symmetric functions, the sum over alpha of
-s_{lam/alpha} * s_{mu/alpha}.
+s_{lam/alpha} * s_{mu/alpha}: one content-free search per alpha, with
+letters capped at the rank, all tallied into one dict per product and
+not memoized.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .lr import checked, lr_coefficient_memo, skew_expansion
+from .lr import _tally, _terms, checked, lr_coefficient_memo, skew_expansion
 from .partitions import Partition, partitions_inside, render
 
 
@@ -176,8 +178,13 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     stable product, the Schur coefficients of the sum over alpha of
     s_{lam/alpha} * s_{mu/alpha}, filtered by length; they are exact only
     when ``stable`` is true (for C2, (1,1) x (1,1) has dimension 25, the
-    terms add up to 30). Each multiplicity is checked once against 64-bit
-    range; terms the rank filter drops are never checked."""
+    terms add up to 30).
+
+    Each alpha's product is one content-free search of a disconnected
+    shape, and every filling of every search goes into one tally for the
+    whole product, so nothing is memoized. The search has at most ``rank``
+    letters, so the weights the rank filter would drop are never found.
+    Each multiplicity is checked once against 64-bit range."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
     for name, p in (("lambda", lam), ("mu", mu)):
@@ -188,21 +195,23 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
                     f"last weight coordinate zero, so at most {limit} parts")
             raise ValueError(f"{name} has {len(p)} parts, more than rank {group.rank}")
     n = group.rank
-    found: dict[Partition, int] = {}
+    tally: dict[tuple, int] = {}
     meet = _meet(lam, mu)
     # s_{lam/alpha} * s_{mu/alpha} expands one disconnected shape: lam/alpha
     # shifted right past mu's first row (alpha fits in mu, so the inner shape
     # is a partition) above mu/alpha; the blocks share no row and no column.
     w = mu[0] if mu else 0
-    outer = [part + w for part in lam] + list(mu)
+    outer = Partition([part + w for part in lam] + list(mu))
+    # A weight of length at most n is exactly the content of a filling with
+    # letters 1..n, so capping the letters is the rank filter. The exact
+    # decomposition below the stable range (King's modification rules) needs
+    # the long terms too, and will search with len(outer) letters instead.
+    nletters = min(n, len(outer))
     for asize in range(meet.size + 1):
         for alpha in partitions_inside(meet, asize):
             inner = [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha)
-            for nu, c in skew_expansion(outer, inner).items():
-                if len(nu) <= n:
-                    found[nu] = found.get(nu, 0) + c
-    ordered = [(nu, checked(m)) for nu, m in
-               sorted(found.items(), key=lambda term: (term[0].size, term[0]), reverse=True)]
+            _tally(tally, outer, inner, nletters)
+    ordered = _terms(tally).items()
     aside = group.family == "D"
     terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}
     inadmissible = {nu: m for nu, m in ordered if aside and len(nu) == n}

@@ -233,6 +233,24 @@ def test_jobs_must_be_positive(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "0x3", "3.0", "", "0"])
+@pytest.mark.parametrize("argv, option", [
+    (["decompose", "1", "1", "--family", "C"], "--rank"),
+    (["verify", "odd"], "--max-size"),
+    (["verify", "even", "--max-size", "4"], "--jobs"),
+])
+def test_count_options_take_plain_decimals(capsys, argv, option, text):
+    """Counts are plain decimals: int() would read 1_0 as 10 and +3 as 3.
+    Only --max-size may be 0."""
+    if option == "--max-size" and text == "0":
+        assert main(argv + [option, text]) == 0
+        return
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [option, text])
+    assert excinfo.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["lr", "1", "1", "2"], ["detect", "2"],
                                   ["nl", "1", "1", "2", "--support"]])
 def test_jobs_only_on_verify(capsys, argv):

@@ -352,6 +352,68 @@ def test_stable_decompositions_match_brute_force_oracle():
         assert res.terms == expected, (lam, mu)
 
 
+def old_route(lam, mu, group):
+    """Reference decomposition through the public, memoized expansions: the
+    sum over alpha of the expansion of the disconnected shape (lam/alpha
+    shifted right past mu's first row, above mu/alpha) with all its letters,
+    keeping the terms that fit the rank, in (size, weight) descending order."""
+    w = mu[0] if mu else 0
+    outer = [part + w for part in lam] + list(mu)
+    found = {}
+    meet = Partition(min(a, b) for a, b in zip(lam, mu))
+    for asize in range(meet.size + 1):
+        for alpha in partitions_inside(meet, asize):
+            inner = [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha)
+            for nu, c in lr.skew_expansion(outer, inner).items():
+                if len(nu) <= group.rank:
+                    found[nu] = found.get(nu, 0) + c
+    return sorted(found.items(), key=lambda term: (term[0].size, term[0]), reverse=True)
+
+
+def test_decomposition_matches_the_stored_expansion_route():
+    """Capping the letters at the rank finds exactly the terms the length
+    filter kept, with the same multiplicities and order, on every pair of
+    size <= 4 at B/C ranks 1-6 and D ranks 2, 4, 6 (unstable pairs too)."""
+    weights = [p for n in range(5) for p in all_partitions(n)]
+    unstable = 0
+    for group in GROUPS:
+        fitting = [p for p in weights if len(p) <= group.max_weight_length]
+        for lam in fitting:
+            for mu in fitting:
+                res = tensor_decompose(lam, mu, group)
+                expected = old_route(lam, mu, group)
+                aside = [group.family == "D" and len(nu) == group.rank for nu, _ in expected]
+                assert list(res.terms.items()) == [
+                    t for t, a in zip(expected, aside) if not a], (lam, mu, group)
+                assert list(res.inadmissible.items()) == [
+                    t for t, a in zip(expected, aside) if a], (lam, mu, group)
+                unstable += not res.stable
+    assert unstable == 383
+
+
+def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
+    """One content-free search per alpha inside the meet (the 42 partitions
+    inside the staircase), all tallied together; the shared store is left
+    as it was."""
+    lam = Partition((4, 3, 2, 1))
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    search = lr._search
+    monkeypatch.setattr(lr, "_search", counted)
+    lr.clear_cache()
+    nl_coefficient((2, 1), (2, 1), (2, 1, 1))
+    before = dict(lr._shared_cache)
+    del searches[:]
+    res = tensor_decompose(lam, lam, GroupSpec("C", 8))
+    assert len(searches) == 42
+    assert dict(lr._shared_cache) == before
+    assert res.stable and sum(res.terms.values()) > 0
+
+
 def test_stable_flag():
     assert tensor_decompose((1,), (1,), GroupSpec("B", 2)).stable
     assert not tensor_decompose((2, 1), (1, 1), GroupSpec("B", 3)).stable
