@@ -23,7 +23,7 @@ from . import detection
 from .lr import _cache_capacity, checked, lr_coefficient
 from .newell_littlewood import GroupSpec, _triangles, nl_coefficient, tensor_decompose
 from .oracle import lr_via_polynomials
-from .partitions import parse, render
+from .partitions import _is_decimal, parse, render
 from .tableaux import SkewShape, ascii_diagram, enumerate_lr_tableaux, shape_diagram, tableau_json
 
 EXIT_OK = 0
@@ -39,16 +39,14 @@ def _colorize(text: str, good: bool) -> str:
     return f"\x1b[{'32' if good else '31'}m{text}\x1b[0m"
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def _non_negative_int(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(minimum: int):
+    """An argparse type: a plain decimal count of at least ``minimum`` (0 or 1)."""
+    def convert(text: str) -> int:
+        if not _is_decimal(text.strip()) or int(text) < minimum:
+            kind = "positive" if minimum else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return int(text)
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("--family", required=True, choices=("B", "C", "D"))
-    p.add_argument("--rank", required=True, type=_positive_int,
+    p.add_argument("--rank", required=True, type=_at_least(1),
                    help="rank of the group (a positive integer; even for D)")
 
     p = sub.add_parser("detect", parents=[shared],
@@ -95,9 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[shared],
                        help="exhaustive verification sweeps")
     p.add_argument("theorem", choices=("odd", "even"))
-    p.add_argument("--max-size", type=_non_negative_int, required=True,
+    p.add_argument("--max-size", type=_at_least(0), required=True,
                    help="largest weight size to sweep (a non-negative integer)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel workers for the sweep (a positive integer)")
 
     p = sub.add_parser("render", parents=[shared],

@@ -17,13 +17,13 @@ family must be detected with a valid witness.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .newell_littlewood import _triangles, nl_coefficient, nl_coefficient_full
 from .partitions import (AllEven, DistinctOddEvenLength, Hook, Partition,
                          Rectangle, classify, enumerate_partitions, render)
-from .tableaux import (SkewShape, SkewTableau, content, enumerate_lr_tableaux,
+from .tableaux import (SkewShape, SkewTableau, _collect, content, enumerate_lr_tableaux,
                        is_lr_tableau, tableau_json)
 
 ODD_SWEEP_LIMIT = 13
@@ -74,13 +74,9 @@ def _greedy_rows(shape: SkewShape, cont: Partition) -> Optional[SkewTableau]:
     if shape.size != cont.size:
         return None
     letters = [x + 1 for x, count in enumerate(cont) for _ in range(count)]
-    rows = []
-    at = 0
-    for i in range(len(shape.outer)):
-        lo, hi = shape.row_span(i)
-        rows.append(tuple(letters[at:at + hi - lo]))
-        at += hi - lo
-    return SkewTableau(shape, tuple(rows))
+    out: list[SkewTableau] = []
+    _collect(shape, out)(letters, None)  # the search's row cut, fed one filling
+    return out[0]
 
 
 def _certificate(lam: Partition, inner: Partition,
@@ -175,12 +171,10 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
 
 def _search_witness(lam: Partition) -> WitnessTriple:
     """The first triangle of the self-pairing sum, in reverse-lex nesting
-    order, with the first enumerated tableau of each pair as certificate;
-    used when a family recipe degenerates."""
+    order, certified as any witness is but labelled "fallback"; used when a
+    family recipe degenerates."""
     for alpha, beta, gamma, *_ in _triangles(lam, lam, lam):
-        certificates = tuple(enumerate_lr_tableaux(SkewShape(lam, inner), cont)[0]
-                             for inner, cont in ((alpha, beta), (beta, gamma), (alpha, gamma)))
-        return WitnessTriple(alpha, beta, gamma, certificates, "fallback")
+        return replace(_witness(lam, alpha, beta, gamma), path="fallback")
     raise RuntimeError(f"no witness triangle exists for ({render(lam)})")
 
 

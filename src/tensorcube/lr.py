@@ -2,10 +2,11 @@
 
 Enumeration of lattice-word fillings is the single production algorithm,
 with the content fixed (one coefficient) or free (a whole skew-Schur
-expansion); the ``oracle`` module recomputes the same numbers through
-symmetric polynomial arithmetic so the test suite can cross-validate. Values
-are exact non-negative integers, and the arithmetic refuses to leave signed
-64-bit range instead of growing silently.
+expansion, the search's content tally over shapes checked here); the
+``oracle`` module recomputes the same numbers through symmetric polynomial
+arithmetic so the test suite can cross-validate. Values are exact
+non-negative integers, and the arithmetic refuses to leave signed 64-bit
+range instead of growing silently.
 
 The shared store is the package's one memo: coefficients and expansions
 only, under one cap, past which each insert drops the oldest entry. Readers
@@ -21,8 +22,8 @@ from collections import OrderedDict
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .partitions import Partition, contains
-from .tableaux import SkewShape, _search, count_lr_fillings
+from .partitions import Partition, _is_decimal, contains
+from .tableaux import SkewShape, _tally, count_lr_fillings
 
 INT64_MAX = 2**63 - 1
 
@@ -42,7 +43,7 @@ def _cache_capacity() -> int:
     global _cap
     if _cap is None:
         raw = os.environ.get("TENSORCUBE_CACHE_CAP", str(1 << 20))
-        if not raw.strip().isdecimal():
+        if not _is_decimal(raw.strip()):
             raise ValueError(f"TENSORCUBE_CACHE_CAP must be a non-negative integer, got {raw!r}")
         _cap = int(raw)
     return _cap
@@ -93,18 +94,6 @@ def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     return value
 
 
-def _tally(tally: dict[tuple, int], outer: Partition, inner: Iterable[int],
-           nletters: int) -> None:
-    """Add the content of every lattice filling of outer/inner with letters
-    1..nletters into ``tally``, keyed by ``tuple(counts)``: the sentinel
-    ``size + 1``, then the count of each letter. With one letter count,
-    equal weights share a key whatever shape they came from."""
-    def bump(fill, counts):
-        found = tuple(counts)
-        tally[found] = tally.get(found, 0) + 1
-    _search(SkewShape(outer, inner), nletters, None, True, bump)
-
-
 def _terms(tally: dict[tuple, int]) -> dict[Partition, int]:
     """The tallied weights with their checked multiplicities, degrees
     descending and reverse-lex within each degree (the sentinel leads each
@@ -125,7 +114,7 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
         tally: dict[tuple, int] = {}
         if contains(inner, outer):
             # row i of a lattice filling uses letters up to i + 1 only
-            _tally(tally, outer, inner, len(outer))
+            _tally(tally, outer, inner, len(outer), True)
         expansion = MappingProxyType(_terms(tally))
         _store((outer, inner), expansion)
     return expansion

@@ -8,9 +8,9 @@ terms beta of s_{lam/alpha}, the first factor times the dot product of
 s_{mu/alpha} with s_{nu/beta}. The triangles themselves are walked only for
 the support listing and the witness search. The stable decomposition is the
 same sum as symmetric functions, the sum over alpha of
-s_{lam/alpha} * s_{mu/alpha}: one content-free search per alpha, with
-letters capped at the rank, all tallied into one dict per product and
-not memoized.
+s_{lam/alpha} * s_{mu/alpha}: one content-free search per alpha, handed
+the plain disconnected shape with letters capped at the rank, all tallied
+into one dict per product and not memoized.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .lr import _tally, _terms, checked, lr_coefficient_memo, skew_expansion
+from .lr import _terms, checked, lr_coefficient_memo, skew_expansion
 from .partitions import Partition, partitions_inside, render
+from .tableaux import _tally
 
 
 def _meet(lam: Partition, mu: Partition) -> Partition:
@@ -201,7 +202,7 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     # shifted right past mu's first row (alpha fits in mu, so the inner shape
     # is a partition) above mu/alpha; the blocks share no row and no column.
     w = mu[0] if mu else 0
-    outer = Partition([part + w for part in lam] + list(mu))
+    outer = [part + w for part in lam] + list(mu)
     # A weight of length at most n is exactly the content of a filling with
     # letters 1..n, so capping the letters is the rank filter. The exact
     # decomposition below the stable range (King's modification rules) needs
@@ -210,7 +211,7 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     for asize in range(meet.size + 1):
         for alpha in partitions_inside(meet, asize):
             inner = [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha)
-            _tally(tally, outer, inner, nletters)
+            _tally(tally, outer, inner, nletters, True)
     ordered = _terms(tally).items()
     aside = group.family == "D"
     terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .lr import checked
 from .partitions import Partition, enumerate_partitions
-from .tableaux import SkewShape, _search, semistandard_content_counts
+from .tableaux import SkewShape, _count, semistandard_content_counts
 
 DEGREE_LIMIT = 14
 
@@ -124,16 +124,7 @@ def _kostka(shape: Partition, cont: Partition) -> int:
     """Semistandard fillings of ``shape`` with exactly ``cont[i]`` copies of
     the letter i+1. Invariant under reordering ``cont``, so only sorted
     contents are ever cached."""
-    if shape.size != cont.size:
-        return 0
-    hits = 0
-
-    def bump(fill, counts):
-        nonlocal hits
-        hits += 1
-
-    _search(SkewShape(shape, Partition(())), len(cont), cont, False, bump)
-    return hits
+    return _count(shape, (), cont, False)
 
 
 @lru_cache(maxsize=None)

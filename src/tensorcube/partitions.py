@@ -8,13 +8,17 @@ stripped at construction) and hash like plain tuples.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 ENUMERATION_LIMIT = 64
 
-_TERM_RE = re.compile(r"(\d+)(?:\^(\d+))?")
+
+def _is_decimal(text: str) -> bool:
+    """True iff ``text`` is one or more ASCII digits. ``str.isdecimal``,
+    ``int`` and the regex ``\\d`` also take other scripts' digits, such as
+    the fullwidth ``３``; text at the input boundary must not."""
+    return text.isascii() and text.isdecimal()
 
 
 class Partition(tuple):
@@ -73,11 +77,10 @@ def parse(text: str) -> Partition:
     parts: list[int] = []
     for raw in text.split(","):
         term = raw.strip()
-        match = _TERM_RE.fullmatch(term)
-        if match is None:
+        value, caret, count = term.partition("^")
+        if not _is_decimal(value) or (caret and not _is_decimal(count)):
             raise ValueError(f"malformed partition term {term!r}")
-        value = int(match.group(1))
-        count = int(match.group(2)) if match.group(2) else 1
+        value, count = int(value), int(count) if caret else 1
         if value < 1:
             raise ValueError(f"partition parts must be positive, got {value} in {text!r}")
         if count < 1:

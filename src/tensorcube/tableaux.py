@@ -9,6 +9,12 @@ cap from the skew boxes below it in its column), then backtracks over one
 flat list of entries, so fillings come out in lexicographic order of the
 reading word. The same core, with the quota and lattice checks switched off,
 enumerates plain semistandard fillings (used by the polynomial cross-check).
+
+The core is private to this module and takes plain partitions that its
+callers have already checked. It has three leaf kinds: a count (LR and
+Kostka numbers), a content tally (skew-Schur expansions, decompositions and
+content histograms), and the collected tableaux, whose row cut also shapes
+the greedy certificates of the detection module.
 """
 
 from __future__ import annotations
@@ -133,9 +139,10 @@ def is_lr_tableau(tableau: SkewTableau) -> bool:
     return is_semistandard(tableau) and is_lattice(word(tableau))
 
 
-def _search(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
-            lattice: bool, on_leaf: Callable) -> None:
-    """Backtracking core over the reading-word box order, calling
+def _search(outer: Sequence[int], inner: Sequence[int], nletters: int,
+            quota: Sequence[int] | None, lattice: bool, on_leaf: Callable) -> None:
+    """Backtracking core over the reading-word box order of outer/inner,
+    plain partitions that the caller has checked, calling
     ``on_leaf(fill, counts)`` once per filling, in lexicographic order of
     the reading word.
 
@@ -149,8 +156,9 @@ def _search(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
     ``on_leaf`` copies what it keeps.
 
     ``quota`` fixes the per-letter box counts (None leaves them free, as a
-    quota of ``size + 1`` that no tally reaches); without ``lattice`` the
-    lattice test compares against a row of such ceilings instead.
+    quota of ``size + 1`` that no tally reaches), and a quota whose total is
+    not the box count has no filling; without ``lattice`` the lattice test
+    compares against a row of such ceilings instead.
 
     Each box is planned once as ``(cell, above, right, cap)``: its index in
     ``fill``, the indices of its upper and right neighbours (or a sentinel),
@@ -160,7 +168,6 @@ def _search(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
     ``nletters``; a larger letter here has no completion, so no leaf is
     lost and the leaf order is unchanged.
     """
-    outer, inner = shape.outer, shape.inner
     foot = [0] * (outer[0] if outer else 0)
     j = 0
     for i in range(len(outer) - 1, -1, -1):
@@ -179,6 +186,8 @@ def _search(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
         above_lo, above_start = lo, start
         start += hi - lo
     size = len(plan)
+    if quota is not None and sum(quota) != size:
+        return
     fill = [0] * (size + 2)
     fill[-1] = nletters
     counts = [size + 1] + [0] * nletters
@@ -206,9 +215,37 @@ def _search(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
         on_leaf(fill, counts)
 
 
+# The search's three leaf kinds: a count, a content tally and the tableaux.
+
+
+def _count(outer: Sequence[int], inner: Sequence[int], quota: Sequence[int],
+           lattice: bool) -> int:
+    """Number of fillings of outer/inner with content ``quota``."""
+    hits = 0
+
+    def bump(fill, counts):
+        nonlocal hits
+        hits += 1
+
+    _search(outer, inner, len(quota), quota, lattice, bump)
+    return hits
+
+
+def _tally(tally: dict[tuple, int], outer: Sequence[int], inner: Sequence[int],
+           nletters: int, lattice: bool) -> None:
+    """Add the content of every filling of outer/inner with letters
+    1..nletters into ``tally``, keyed by ``tuple(counts)``: the sentinel
+    ``size + 1``, then the count of each letter. With one letter count,
+    equal contents share a key whatever shape they came from."""
+    def bump(fill, counts):
+        found = tuple(counts)
+        tally[found] = tally.get(found, 0) + 1
+    _search(outer, inner, nletters, None, lattice, bump)
+
+
 def _collect(shape: SkewShape, out: list[SkewTableau]) -> Callable:
-    """A leaf callback that slices the rows out of ``fill`` and appends the
-    tableau to ``out``."""
+    """A leaf callback that cuts the row-major entries of ``fill`` into the
+    shape's rows and appends the tableau to ``out``."""
     cuts = []
     start = 0
     for i in range(len(shape.outer)):
@@ -222,17 +259,7 @@ def _collect(shape: SkewShape, out: list[SkewTableau]) -> Callable:
 def count_lr_fillings(shape: SkewShape, cont: Iterable[int]) -> int:
     """Number of Littlewood-Richardson fillings of ``shape`` with the given
     content; zero when the box counts disagree."""
-    cont = Partition(cont)
-    if shape.size != cont.size:
-        return 0
-    hits = 0
-
-    def bump(fill, counts):
-        nonlocal hits
-        hits += 1
-
-    _search(shape, len(cont), cont, True, bump)
-    return hits
+    return _count(shape.outer, shape.inner, Partition(cont), True)
 
 
 def enumerate_lr_tableaux(shape: SkewShape, cont: Iterable[int]) -> list[SkewTableau]:
@@ -240,9 +267,7 @@ def enumerate_lr_tableaux(shape: SkewShape, cont: Iterable[int]) -> list[SkewTab
     in smallest-entry-first order; empty when the box counts disagree."""
     cont = Partition(cont)
     out: list[SkewTableau] = []
-    if shape.size != cont.size:
-        return out
-    _search(shape, len(cont), cont, True, _collect(shape, out))
+    _search(shape.outer, shape.inner, len(cont), cont, True, _collect(shape, out))
     return out
 
 
@@ -251,7 +276,7 @@ def enumerate_semistandard_tableaux(shape: SkewShape, max_entry: int) -> list[Sk
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
     out: list[SkewTableau] = []
-    _search(shape, max_entry, None, False, _collect(shape, out))
+    _search(shape.outer, shape.inner, max_entry, None, False, _collect(shape, out))
     return out
 
 
@@ -260,14 +285,9 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
     1..max_entry; keys are full length-``max_entry`` count vectors."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    out: dict[tuple[int, ...], int] = {}
-
-    def bump(fill, counts):
-        key = tuple(counts[1:])
-        out[key] = out.get(key, 0) + 1
-
-    _search(shape, max_entry, None, False, bump)
-    return out
+    tally: dict[tuple, int] = {}
+    _tally(tally, shape.outer, shape.inner, max_entry, False)
+    return {found[1:]: n for found, n in tally.items()}
 
 
 def ascii_diagram(tableau: SkewTableau) -> str:

@@ -233,15 +233,15 @@ def test_jobs_must_be_positive(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["1_0", "+3", "0x3", "3.0", "", "0"])
+@pytest.mark.parametrize("text", ["1_0", "+3", "0x3", "3.0", "", "0", "\uff13"])
 @pytest.mark.parametrize("argv, option", [
     (["decompose", "1", "1", "--family", "C"], "--rank"),
     (["verify", "odd"], "--max-size"),
     (["verify", "even", "--max-size", "4"], "--jobs"),
 ])
 def test_count_options_take_plain_decimals(capsys, argv, option, text):
-    """Counts are plain decimals: int() would read 1_0 as 10 and +3 as 3.
-    Only --max-size may be 0."""
+    """Counts are plain ASCII decimals: int() would read 1_0 as 10, +3 as 3
+    and the fullwidth digit \uff13 as 3. Only --max-size may be 0."""
     if option == "--max-size" and text == "0":
         assert main(argv + [option, text]) == 0
         return
@@ -327,7 +327,7 @@ def test_internal_failure_maps_to_exit_4(capsys, monkeypatch):
     assert main(["detect", "4,4"]) == 4
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "\uff15"])
 @pytest.mark.parametrize("argv", [["nl", "2", "2", "2"], ["render", "2,1"]])
 def test_bad_cache_cap_exits_2(capsys, monkeypatch, raw, argv):
     monkeypatch.setenv("TENSORCUBE_CACHE_CAP", raw)

@@ -15,6 +15,7 @@ from tensorcube import (
     nl_coefficient,
     nl_coefficient_full,
     nl_sum_support,
+    tableaux,
     tensor_decompose,
 )
 from tensorcube.partitions import partitions_inside
@@ -165,10 +166,10 @@ def test_one_search_per_expansion_per_call(monkeypatch):
         searches.append(args)
         return search(*args)
 
-    search = lr._search
+    search = tableaux._search
     lr.clear_cache()
     monkeypatch.setattr(lr, "_cap", 0)
-    monkeypatch.setattr(lr, "_search", counted)
+    monkeypatch.setattr(tableaux, "_search", counted)
     assert nl_coefficient(lam, lam, lam) == 324
     assert 2 * len(alphas) + len(betas) == 15
     assert len(searches) <= 15
@@ -402,8 +403,8 @@ def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
         searches.append(args)
         return search(*args)
 
-    search = lr._search
-    monkeypatch.setattr(lr, "_search", counted)
+    search = tableaux._search
+    monkeypatch.setattr(tableaux, "_search", counted)
     lr.clear_cache()
     nl_coefficient((2, 1), (2, 1), (2, 1, 1))
     before = dict(lr._shared_cache)
@@ -412,6 +413,25 @@ def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
     assert len(searches) == 42
     assert dict(lr._shared_cache) == before
     assert res.stable and sum(res.terms.values()) > 0
+
+
+def test_decomposition_and_expansions_build_no_skew_shape(monkeypatch):
+    """The search takes the plain partitions its callers have checked: a
+    decomposition of (4,3,2,1)^2 at C8 (one search per alpha, 42 of them)
+    and a cold expansion validate no SkewShape."""
+    built = []
+    init = tableaux.SkewShape.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(tableaux.SkewShape, "__post_init__", counted)
+    lr.clear_cache()
+    lam = Partition((4, 3, 2, 1))
+    assert tensor_decompose(lam, lam, GroupSpec("C", 8)).stable
+    assert lr.skew_expansion(lam, (2, 1))[Partition((3, 2, 1, 1))] == 2
+    assert built == []
 
 
 def test_stable_flag():

@@ -89,7 +89,8 @@ def test_render_uses_shorthand_for_runs():
 
 
 @pytest.mark.parametrize("bad", ["x", "3,4", "0", "2^0", "-1", "1,,1", "3^-2",
-                                 "1^1000000000000000000", "1^10000000000000000000"])
+                                 "1^1000000000000000000", "1^10000000000000000000",
+                                 "\uff13,1", "3^\uff12", "3^", "^2", "3 ^2"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse(bad)

@@ -158,6 +158,9 @@ def test_enumerate_impossible_content():
 
 def test_count_zero_on_size_mismatch():
     assert count_lr_fillings(SkewShape((2, 1), ()), (1, 1)) == 0
+    # a content larger than the shape: filling every box does not meet it
+    assert count_lr_fillings(SkewShape((2, 1), ()), (2, 1, 1)) == 0
+    assert enumerate_lr_tableaux(SkewShape((2, 1), ()), (2, 1, 1)) == []
 
 
 def test_enumeration_outputs_are_lr():
