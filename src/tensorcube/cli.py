@@ -19,12 +19,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import detection
 from .lr import _cache_capacity, checked, lr_coefficient
 from .newell_littlewood import GroupSpec, _triangles, nl_coefficient, tensor_decompose
-from .oracle import lr_via_polynomials
 from .partitions import _is_decimal, parse, render
 from .tableaux import SkewShape, ascii_diagram, enumerate_lr_tableaux, shape_diagram, tableau_json
+
+# detection and the polynomial oracle are imported by the commands that run
+# them, so that no other command pays for loading them at start-up
 
 EXIT_OK = 0
 EXIT_NOT_DETECTED = 1
@@ -108,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_lr(args) -> int:
     lam, mu, nu = parse(args.lam), parse(args.mu), parse(args.nu)
     if args.backend == "polynomials":
+        from .oracle import lr_via_polynomials
         value = lr_via_polynomials(lam, mu, nu)
     else:
         value = lr_coefficient(lam, mu, nu)
@@ -167,6 +169,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from . import detection
     verdict = detection.detects(parse(args.lam))
     families = sorted(f.describe() for f in verdict.families)
     if args.format == "json":
@@ -197,6 +200,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import detection
     if args.theorem == "odd":
         report = detection.verify_odd_theorem(args.max_size, jobs=args.jobs)
     else:

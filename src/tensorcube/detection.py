@@ -266,10 +266,19 @@ def _even_entry(lam: Partition) -> dict:
     return entry
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (under ``taskset`` it is smaller than the machine's
+    count), else the machine's count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map(fn: Callable, items: list, jobs: int) -> list:
     # the pool forks all its workers at the first submit, so never ask for
-    # more than there are items or CPUs
-    jobs = min(jobs, len(items), os.cpu_count() or 1)
+    # more than there are items or CPUs this process may use
+    jobs = min(jobs, len(items), _usable_cpus())
     if jobs <= 1:
         return [fn(item) for item in items]
     # imported here so that serial sweeps and every other command never pay

@@ -17,11 +17,10 @@ and restricts to a single LR coefficient in top degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .lr import _terms, checked, lr_coefficient_memo, skew_expansion
-from .partitions import Partition, partitions_inside, render
+from .partitions import Partition, _Record, _set, partitions_inside, render
 from .tableaux import _tally
 
 
@@ -117,23 +116,23 @@ def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
 _FAMILIES = ("B", "C", "D")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Record):
     """One of the three classical families, by letter, with its rank.
 
     Family D is restricted to even rank so that all the modules involved
     stay self-dual."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of B, C, D, got {self.family!r}")
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if self.family == "D" and self.rank % 2:
-            raise ValueError(f"family D requires an even rank, got {self.rank}")
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"family must be one of B, C, D, got {family!r}")
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        if family == "D" and rank % 2:
+            raise ValueError(f"family D requires an even rank, got {rank}")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
 
     @property
     def max_weight_length(self) -> int:
@@ -141,8 +140,7 @@ class GroupSpec:
         return self.rank - 1 if self.family == "D" else self.rank
 
 
-@dataclass(frozen=True, eq=True)
-class DecompositionResult:
+class DecompositionResult(_Record):
     """Multiplicity map for a product of two irreducibles.
 
     ``terms`` are the admissible output weights (reverse-lex within each
@@ -152,12 +150,16 @@ class DecompositionResult:
     keeps every output weight inside the rank filter; without it the map is
     the stable product filtered by length, not the decomposition."""
 
-    group: GroupSpec
-    left: Partition
-    right: Partition
-    terms: dict
-    inadmissible: dict
-    stable: bool
+    __slots__ = ("group", "left", "right", "terms", "inadmissible", "stable")
+
+    def __init__(self, group: GroupSpec, left: Partition, right: Partition,
+                 terms: dict, inadmissible: dict, stable: bool):
+        _set(self, "group", group)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "terms", terms)
+        _set(self, "inadmissible", inadmissible)
+        _set(self, "stable", stable)
 
     def to_json(self) -> dict:
         return {

@@ -8,7 +8,6 @@ stripped at construction) and hash like plain tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 ENUMERATION_LIMIT = 64
@@ -113,47 +112,89 @@ def contains(inner: Iterable[int], outer: Iterable[int]) -> bool:
     return all(a <= b for a, b in zip(inner, outer))
 
 
-@dataclass(frozen=True)
-class AllEven:
+class _Record:
+    """Base of the package's immutable value types: each subclass names its
+    fields in ``__slots__`` and sets them once in ``__init__`` through
+    ``_set``.
+
+    Records are equal when they are of the same class with equal fields,
+    hash like the tuple of their fields, show as ``Name(field=value, ...)``,
+    refuse assignment with ``AttributeError``, and pickle and copy by calling
+    the class again on their fields, so a copy passes the same checks."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+_set = object.__setattr__  # the one way to fill a record's slot
+
+
+class AllEven(_Record):
     """Every part is even; vacuously true for the empty partition."""
 
+    __slots__ = ()
     kind = "all-even"
 
     def describe(self) -> str:
         return self.kind
 
 
-@dataclass(frozen=True)
-class DistinctOddEvenLength:
+class DistinctOddEvenLength(_Record):
     """All parts distinct and odd, with evenly many parts."""
 
+    __slots__ = ()
     kind = "distinct-odd-even-length"
 
     def describe(self) -> str:
         return self.kind
 
 
-@dataclass(frozen=True)
-class Hook:
+class Hook(_Record):
     """Shape (1+arm, 1^leg): one row joined to one column."""
 
-    arm: int
-    leg: int
-
+    __slots__ = ("arm", "leg")
     kind = "hook"
+
+    def __init__(self, arm: int, leg: int):
+        _set(self, "arm", arm)
+        _set(self, "leg", leg)
 
     def describe(self) -> str:
         return f"hook(arm={self.arm},leg={self.leg})"
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Record):
     """``rows`` equal parts of size ``cols``."""
 
-    rows: int
-    cols: int
-
+    __slots__ = ("rows", "cols")
     kind = "rectangle"
+
+    def __init__(self, rows: int, cols: int):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
 
     def describe(self) -> str:
         return f"rectangle({self.rows}x{self.cols})"

@@ -19,25 +19,23 @@ the greedy certificates of the detection module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .partitions import Partition, contains, render
+from .partitions import Partition, _Record, _set, contains, render
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_Record):
     """The boxes of ``outer`` that are not boxes of ``inner``."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", Partition(self.outer))
-        object.__setattr__(self, "inner", Partition(self.inner))
-        if not contains(self.inner, self.outer):
+    def __init__(self, outer: Iterable[int], inner: Iterable[int]):
+        outer, inner = Partition(outer), Partition(inner)
+        if not contains(inner, outer):
             raise ValueError(
-                f"inner shape ({render(self.inner)}) does not sit inside ({render(self.outer)})")
+                f"inner shape ({render(inner)}) does not sit inside ({render(outer)})")
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
 
     @property
     def size(self) -> int:
@@ -53,28 +51,28 @@ class SkewShape:
         return [(i, j) for i in range(len(self.outer)) for j in range(*self.row_span(i))]
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(_Record):
     """A filling of a skew shape.
 
     ``rows[i]`` holds row ``i``'s entries left to right, skew boxes only; a
     row fully covered by the inner shape contributes an empty tuple."""
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("shape", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != len(self.shape.outer):
-            raise ValueError(f"expected {len(self.shape.outer)} rows, got {len(rows)}")
+    def __init__(self, shape: SkewShape, rows: Iterable[Iterable[int]]):
+        rows = tuple(map(tuple, rows))
+        outer, inner = shape.outer, shape.inner
+        if len(rows) != len(outer):
+            raise ValueError(f"expected {len(outer)} rows, got {len(rows)}")
         for i, row in enumerate(rows):
-            lo, hi = self.shape.row_span(i)
-            if len(row) != hi - lo:
-                raise ValueError(f"row {i} must have {hi - lo} entries, got {len(row)}")
+            width = outer[i] - (inner[i] if i < len(inner) else 0)
+            if len(row) != width:
+                raise ValueError(f"row {i} must have {width} entries, got {len(row)}")
             for entry in row:
                 if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
                     raise ValueError(f"entries must be positive integers, got {entry!r}")
+        _set(self, "shape", shape)
+        _set(self, "rows", rows)
 
     def entry(self, i: int, j: int) -> int:
         """Entry at row ``i``, absolute column ``j``."""

@@ -266,22 +266,53 @@ def test_verify_takes_jobs(capsys):
     assert out
 
 
-def test_serial_sweep_never_loads_the_process_pool():
+def _loaded_after(argv, watched):
+    """Run the CLI on ``argv`` in a fresh interpreter, which must exit 0; the
+    ``watched`` modules it loaded."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from tensorcube.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['verify', 'even', '--max-size', '4'])\n"
-        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
-        "sys.exit(f'exit {code}, loaded {sorted(loaded)}' if code or loaded else 0)\n"
+        "    code = main(sys.argv[2:])\n"
+        "print(json.dumps([code, sorted(set(sys.argv[1].split()) & set(sys.modules))]))\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, " ".join(watched), *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return loaded
+
+
+def test_serial_sweep_never_loads_the_process_pool():
+    loaded = _loaded_after(["verify", "even", "--max-size", "4"],
+                           ["concurrent.futures", "multiprocessing", "tensorcube.oracle"])
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["decompose", "2,1", "1", "--family", "C", "--rank", "3"],
+     ["dataclasses", "tensorcube.detection", "tensorcube.oracle"]),
+    (["nl", "2,1", "2,1", "2", "--support"],
+     ["dataclasses", "tensorcube.detection", "tensorcube.oracle"]),
+    (["lr", "2,1", "2,1", "3,2,1", "--certificates"],
+     ["dataclasses", "tensorcube.detection", "tensorcube.oracle"]),
+    (["render", "3,2", "--inner", "1"],
+     ["dataclasses", "tensorcube.detection", "tensorcube.oracle"]),
+    (["detect", "4,4"], ["tensorcube.oracle"]),
+], ids=["decompose", "nl-support", "lr-certificates", "render", "detect"])
+def test_commands_load_only_what_they_run(argv, absent):
+    assert _loaded_after(argv, absent) == []
+
+
+def test_polynomial_backend_loads_the_oracle():
+    """The start-up probe sees a module the command does load."""
+    assert _loaded_after(["lr", "1", "1", "2", "--backend", "polynomials"],
+                         ["tensorcube.oracle"]) == ["tensorcube.oracle"]
 
 
 # --- render ---
@@ -323,7 +354,7 @@ def test_internal_failure_maps_to_exit_4(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("invariant broken")
 
-    monkeypatch.setattr("tensorcube.cli.detection.detects", boom)
+    monkeypatch.setattr("tensorcube.detection.detects", boom)
     assert main(["detect", "4,4"]) == 4
 
 

@@ -284,16 +284,39 @@ class RecordingExecutor:
         return map(fn, items)
 
 
+def sweep_pool_sizes(monkeypatch, jobs):
+    """The pool sizes an even sweep of size <= 4 asks for, its entries
+    checked against the serial sweep."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    report = verify_even_theorem(4, jobs=jobs)
+    assert report.entries == verify_even_theorem(4, jobs=1).entries
+    return RecordingExecutor.sizes
+
+
 @pytest.mark.parametrize("cpus, jobs, expected", [
-    (4, 100000, [4]),    # bounded by the CPU count
+    (4, 100000, [4]),    # bounded by the CPUs this process may use
     (64, 100000, [8]),   # bounded by the eight weights of even size <= 4
     (4, 2, [2]),
     (None, 100000, []),  # unknown CPU count: serial, no pool
+    (1, 2, []),          # pinned to one CPU (taskset -c 0): serial, no pool
 ])
 def test_sweep_workers_bounded_by_cpus_and_items(monkeypatch, cpus, jobs, expected):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
+    """A numeric ``cpus`` is the affinity mask, on a machine with more CPUs;
+    None is a platform with no affinity mask and an unknown CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(detection.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(detection.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(detection.os, "cpu_count", lambda: None if cpus is None else 128)
+    assert sweep_pool_sizes(monkeypatch, jobs) == expected
+
+
+@pytest.mark.parametrize("cpus, expected", [(4, [4]), (1, [])])
+def test_sweep_workers_fall_back_to_the_cpu_count(monkeypatch, cpus, expected):
+    """Without an affinity mask the machine's CPU count bounds the pool."""
+    monkeypatch.delattr(detection.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(detection.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    report = verify_even_theorem(4, jobs=jobs)
-    assert RecordingExecutor.sizes == expected
-    assert report.entries == verify_even_theorem(4, jobs=1).entries
+    assert sweep_pool_sizes(monkeypatch, 100000) == expected
+

@@ -420,13 +420,13 @@ def test_decomposition_and_expansions_build_no_skew_shape(monkeypatch):
     decomposition of (4,3,2,1)^2 at C8 (one search per alpha, 42 of them)
     and a cold expansion validate no SkewShape."""
     built = []
-    init = tableaux.SkewShape.__post_init__
+    init = tableaux.SkewShape.__init__
 
-    def counted(self):
-        built.append(self)
-        init(self)
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(tableaux.SkewShape, "__post_init__", counted)
+    monkeypatch.setattr(tableaux.SkewShape, "__init__", counted)
     lr.clear_cache()
     lam = Partition((4, 3, 2, 1))
     assert tensor_decompose(lam, lam, GroupSpec("C", 8)).stable
