@@ -105,12 +105,20 @@ def _witness(lam: Partition, alpha: Partition, beta: Partition,
     return WitnessTriple(alpha, beta, gamma, tuple(cert for cert, _ in made), path)
 
 
+def _family(lam: Partition, kind: type):
+    """The record of family ``kind`` that :func:`classify` finds for ``lam``
+    of even size; ValueError naming the weight otherwise."""
+    for found in classify(lam) if lam.size % 2 == 0 else ():
+        if isinstance(found, kind):
+            return found
+    raise ValueError(f"({render(lam)}) is not an even-size weight of family {kind.kind}")
+
+
 def witness_all_even(lam: Iterable[int]) -> WitnessTriple:
     """Halving witness: alpha = beta = gamma = half of each row, every row
     extended by copies of its own letter."""
     lam = Partition(lam)
-    if any(p % 2 for p in lam):
-        raise ValueError(f"({render(lam)}) has an odd part")
+    _family(lam, AllEven)
     half = Partition(p // 2 for p in lam)
     return _witness(lam, half, half, half)
 
@@ -120,10 +128,7 @@ def witness_distinct_odd(lam: Iterable[int]) -> WitnessTriple:
     the rows round up and the bottom half round down (the middle partition
     does the opposite)."""
     lam = Partition(lam)
-    if len(lam) % 2:
-        raise ValueError(f"({render(lam)}) has an odd number of parts")
-    if any(p % 2 == 0 for p in lam) or len(set(lam)) != len(lam):
-        raise ValueError(f"({render(lam)}) must have distinct odd parts")
+    _family(lam, DistinctOddEvenLength)
     k = len(lam) // 2
     alpha = Partition([(p + 1) // 2 for p in lam[:k]] + [(p - 1) // 2 for p in lam[k:]])
     beta = Partition([(p - 1) // 2 for p in lam[:k]] + [(p + 1) // 2 for p in lam[k:]])
@@ -138,9 +143,7 @@ def witness_hook(lam: Iterable[int]) -> WitnessTriple:
     degenerates (its stated first part would be zero), so that edge falls
     back to the witness search."""
     lam = Partition(lam)
-    hook = next((f for f in classify(lam) if isinstance(f, Hook)), None)
-    if hook is None or lam.size % 2:
-        raise ValueError(f"({render(lam)}) is not a hook of even size")
+    hook = _family(lam, Hook)
     a, b = hook.arm, hook.leg
     if a % 2 == 1:
         core = Partition([1 + (a - 1) // 2] + [1] * (b // 2))
@@ -160,9 +163,7 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
     stacks the full row length on half the rows, and each certificate is the
     bottom half of the rectangle filled row by row."""
     lam = Partition(lam)
-    rect = next((f for f in classify(lam) if isinstance(f, Rectangle)), None)
-    if rect is None or lam.size % 2:
-        raise ValueError(f"({render(lam)}) is not a rectangle of even size")
+    rect = _family(lam, Rectangle)
     if rect.cols % 2 == 0:
         return witness_all_even(lam)
     half = Partition([rect.cols] * (rect.rows // 2))
@@ -289,17 +290,23 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
+def _sweep(theorem: str, entry: Callable, limit: int, max_size: int, jobs: int) -> SweepReport:
+    """``entry`` of every weight of odd or even size, as ``theorem`` says, up
+    to ``max_size`` (at most ``limit``); the family tallies are left empty."""
+    if not 0 <= max_size <= limit:
+        raise ValueError(f"max_size must be between 0 and {limit}, got {max_size}")
+    lams = [lam for size in range(1 if theorem == "odd" else 0, max_size + 1, 2)
+            for lam in enumerate_partitions(size)]
+    entries = _map(entry, lams, jobs)
+    failures = [e for e in entries if not e["ok"]]
+    return SweepReport(theorem, max_size, len(entries), entries, failures, {}, [])
+
+
 def verify_odd_theorem(max_size: int, jobs: int = 1) -> SweepReport:
     """Exhaustively confirm that every odd size up to ``max_size`` has a
     vanishing self-pairing constant, via the unshortcut sum. Any failure
     indicates an implementation bug."""
-    if not 0 <= max_size <= ODD_SWEEP_LIMIT:
-        raise ValueError(f"max_size must be between 0 and {ODD_SWEEP_LIMIT}, got {max_size}")
-    lams = [lam for size in range(1, max_size + 1, 2)
-            for lam in enumerate_partitions(size)]
-    entries = _map(_odd_entry, lams, jobs)
-    failures = [e for e in entries if not e["ok"]]
-    return SweepReport("odd", max_size, len(entries), entries, failures, {}, [])
+    return _sweep("odd", _odd_entry, ODD_SWEEP_LIMIT, max_size, jobs)
 
 
 def verify_even_theorem(max_size: int, jobs: int = 1) -> SweepReport:
@@ -307,18 +314,10 @@ def verify_even_theorem(max_size: int, jobs: int = 1) -> SweepReport:
     weights matching any covered family must come with a validated witness
     and a positive constant. Weights outside every family are reported with
     their computed constant and nothing is asserted about them."""
-    if not 0 <= max_size <= EVEN_SWEEP_LIMIT:
-        raise ValueError(f"max_size must be between 0 and {EVEN_SWEEP_LIMIT}, got {max_size}")
-    lams = [lam for size in range(0, max_size + 1, 2)
-            for lam in enumerate_partitions(size)]
-    entries = _map(_even_entry, lams, jobs)
-    failures = [e for e in entries if not e["ok"]]
-    tallies: dict[str, int] = {}
-    unclassified = []
-    for e in entries:
+    report = _sweep("even", _even_entry, EVEN_SWEEP_LIMIT, max_size, jobs)
+    for e in report.entries:
         for kind in e["kinds"]:
-            tallies[kind] = tallies.get(kind, 0) + 1
+            report.family_tallies[kind] = report.family_tallies.get(kind, 0) + 1
         if not e["families"]:
-            unclassified.append(e)
-    return SweepReport("even", max_size, len(entries), entries, failures,
-                       tallies, unclassified)
+            report.unclassified.append(e)
+    return report

@@ -2,12 +2,12 @@
 symplectic and even orthogonal families.
 
 The constant pairing three partitions sums c(alpha, beta -> lam) *
-c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles. It is counted
-off skew-Schur expansions without listing the triangles: over alpha and the
-terms beta of s_{lam/alpha}, the first factor times the dot product of
-s_{mu/alpha} with s_{nu/beta}. The triangles themselves are walked only for
-the support listing and the witness search. The stable decomposition is the
-same sum as symmetric functions, the sum over alpha of
+c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles. One walk over
+alpha and the terms beta of s_{lam/alpha} serves the count, the support
+listing and the witness search: the count adds the first factor times the
+dot product of s_{mu/alpha} with s_{nu/beta} without listing the triangles,
+and the listing joins the two expansions on gamma. The stable
+decomposition is the same sum as symmetric functions, the sum over alpha of
 s_{lam/alpha} * s_{mu/alpha}: one content-free search per alpha, handed
 the plain disconnected shape with letters capped at the rank, all tallied
 into one dict per product and not memoized.
@@ -29,50 +29,51 @@ def _meet(lam: Partition, mu: Partition) -> Partition:
     return Partition(min(a, b) for a, b in zip(lam, mu))
 
 
-def _triangles(lam: Partition, mu: Partition, nu: Partition):
-    """Every triangle (alpha, beta, gamma) with all three factors positive,
-    as (alpha, beta, gamma, c_ab, c_ag, c_bg), in reverse-lex nesting order;
-    nothing when the total size is odd or the forced sizes go negative. The
-    order is that of the enumerated subpartitions and stored expansions."""
+def _walk(lam: Partition, mu: Partition, nu: Partition):
+    """The triple sum's outer loops: (alpha, beta, c_ab, s_{mu/alpha},
+    s_{nu/beta}) over alpha of the forced size inside lam and mu and the terms
+    beta of s_{lam/alpha}, in stored order, each s_{nu/beta} fetched once per
+    walk; nothing when the total size is odd or the forced sizes go negative."""
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
-    for alpha in partitions_inside(_meet(lam, mu), twice // 2):
-        left = skew_expansion(mu, alpha)
-        for beta, cab in skew_expansion(lam, alpha).items():
-            right = skew_expansion(nu, beta)
-            for gamma, cag in left.items():
-                cbg = right.get(gamma)
-                if cbg:
-                    yield alpha, beta, gamma, cab, cag, cbg
-
-
-def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
-    """Structure constant pairing the three labels.
-
-    Counts without walking the triangles: for each alpha it adds, over the
-    terms beta of s_{lam/alpha}, c_ab times the dot product of s_{mu/alpha}
-    with s_{nu/beta}, looping over the shorter expansion. Each s_{nu/beta}
-    is fetched from the store once per call. Returns 0 immediately when the
-    total size is odd; the shortcut agrees with the full sum (the suite
-    confirms this by running the sum without it, see
-    :func:`nl_coefficient_full`). Every term is positive, so one check of the
-    total refuses exactly the sums that leave 64-bit range."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    twice = lam.size + mu.size - nu.size
-    if twice < 0 or twice % 2:
-        return 0
     rights: dict[Partition, Mapping[Partition, int]] = {}
-    total = 0
     for alpha in partitions_inside(_meet(lam, mu), twice // 2):
         left = skew_expansion(mu, alpha)
         for beta, cab in skew_expansion(lam, alpha).items():
             right = rights.get(beta)
             if right is None:
                 right = rights[beta] = skew_expansion(nu, beta)
-            short, long = (left, right) if len(left) <= len(right) else (right, left)
-            get = long.get
-            total += cab * sum([c * get(gamma, 0) for gamma, c in short.items()])
+            yield alpha, beta, cab, left, right
+
+
+def _triangles(lam: Partition, mu: Partition, nu: Partition):
+    """Every triangle (alpha, beta, gamma) with all three factors positive,
+    as (alpha, beta, gamma, c_ab, c_ag, c_bg), in reverse-lex nesting order:
+    the terms gamma of s_{mu/alpha} that s_{nu/beta} shares, over the walk."""
+    for alpha, beta, cab, left, right in _walk(lam, mu, nu):
+        for gamma, cag in left.items():
+            cbg = right.get(gamma)
+            if cbg:
+                yield alpha, beta, gamma, cab, cag, cbg
+
+
+def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
+    """Structure constant pairing the three labels.
+
+    Counts without listing the triangles: over the walk it adds c_ab times
+    the dot product of s_{mu/alpha} with s_{nu/beta}, looping over the
+    shorter expansion. Each s_{nu/beta} is fetched from the store once per
+    call. Returns 0 immediately when the total size is odd; the shortcut
+    agrees with the full sum (the suite confirms this by running the sum
+    without it, see :func:`nl_coefficient_full`). Every term is positive, so
+    one check of the total refuses exactly the sums that leave 64-bit
+    range."""
+    total = 0
+    for _, _, cab, left, right in _walk(Partition(lam), Partition(mu), Partition(nu)):
+        short, long = (left, right) if len(left) <= len(right) else (right, left)
+        get = long.get
+        total += cab * sum([c * get(gamma, 0) for gamma, c in short.items()])
     return checked(total)
 
 
@@ -108,8 +109,8 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
 def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
                    nu: Iterable[int]) -> list[tuple[Partition, Partition, Partition]]:
     """The triangles (alpha, beta, gamma) with all three factors positive, in
-    deterministic reverse-lex nesting order; empty when the forced sizes go
-    negative or the total size is odd."""
+    deterministic reverse-lex nesting order, off the same walk as the count;
+    empty when the forced sizes go negative or the total size is odd."""
     return [(a, b, g) for a, b, g, *_ in _triangles(Partition(lam), Partition(mu), Partition(nu))]
 
 

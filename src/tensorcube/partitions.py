@@ -29,7 +29,7 @@ class Partition(tuple):
         if type(parts) is Partition:
             return parts
         parts = tuple(parts)
-        while parts and parts[-1] == 0 and not isinstance(parts[-1], bool):
+        while parts and parts[-1] == 0 and type(parts[-1]) is int:
             parts = parts[:-1]
         previous = None
         for p in parts:

@@ -75,8 +75,8 @@ class SkewTableau(_Record):
         _set(self, "rows", rows)
 
     def entry(self, i: int, j: int) -> int:
-        """Entry at row ``i``, absolute column ``j``."""
-        lo, hi = self.shape.row_span(i)
+        """Entry at row ``i``, absolute column ``j``; KeyError off the shape."""
+        lo, hi = self.shape.row_span(i) if 0 <= i < len(self.rows) else (0, 0)
         if not lo <= j < hi:
             raise KeyError((i, j))
         return self.rows[i][j - lo]

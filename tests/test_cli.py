@@ -215,6 +215,13 @@ def test_verify_even_jsonlines(capsys):
     assert all("lambda" in d for d in docs[:-1])
 
 
+def test_verify_even_failure_exits_4(capsys, broken_witness):
+    code, out = run(capsys, "verify", "even", "--max-size", "4")
+    assert code == 4
+    assert "FAIL lambda=2^2 size=4 N=2 families=all-even,rectangle(2x2)" in out.splitlines()
+    assert "checked=8 failures=1" in out
+
+
 def test_verify_bound_exits_2(capsys):
     assert main(["verify", "odd", "--max-size", "99"]) == 2
 

@@ -1,6 +1,8 @@
 """Tensor-cube detection: witness construction for the four shape
 families, the detection verdict, and the two verification sweeps."""
 
+import re
+
 import pytest
 
 from oracles import brute_nl, gen_partitions
@@ -12,6 +14,7 @@ from tensorcube import (
     lr_coefficient,
     nl_coefficient,
     nl_sum_support,
+    render,
     verify_even_theorem,
     verify_odd_theorem,
     witness_all_even,
@@ -132,6 +135,21 @@ def test_search_witness_is_the_first_support_triangle():
         assert detection._witness_ok(lam, w), lam
 
 
+@pytest.mark.parametrize("builder, lam", [
+    (witness_all_even, (3, 1)),
+    (witness_distinct_odd, (5, 3, 1)),
+    (witness_distinct_odd, (3, 3)),
+    (witness_hook, (2, 2)),
+    (witness_hook, (3, 1, 1)),
+    (witness_rectangle, (2, 1)),
+    (witness_rectangle, (3,)),
+], ids=lambda v: v.__name__ if callable(v) else render(v))
+def test_builders_refuse_weights_outside_their_family(builder, lam):
+    """Outside its family, or at odd size, a builder names the weight."""
+    with pytest.raises(ValueError, match=re.escape(f"({render(lam)})")):
+        builder(lam)
+
+
 # --- builder dispatch ---
 
 def test_build_witness_priority_and_none_cases():
@@ -248,6 +266,19 @@ def test_even_sweep_validates_witnesses():
         if entry.get("kinds"):
             assert entry["detected"]
             assert entry["witness"] is not None
+
+
+def test_even_sweep_reports_a_witness_error(broken_witness):
+    """A witness that cannot be built fails its entry, which keeps its
+    constant, and the report lists it."""
+    report = verify_even_theorem(4)
+    entry = next(e for e in report.entries if e["lambda"] == "2^2")
+    assert entry["ok"] is False
+    assert entry["error"] == broken_witness
+    assert entry["N"] == nl_coefficient((2, 2), (2, 2), (2, 2)) > 0
+    assert "witness" not in entry
+    assert report.failures == [entry]
+    assert all(e["ok"] for e in report.entries if e is not entry)
 
 
 def test_sweep_rejects_out_of_bounds():

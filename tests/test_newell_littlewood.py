@@ -156,7 +156,8 @@ def test_support_sum_reproduces_coefficient():
 def test_one_search_per_expansion_per_call(monkeypatch):
     """Each nu/beta expansion is searched once per call, not once per alpha
     that reaches beta: with the store off, the searches are two per alpha
-    and one per distinct beta."""
+    and one per distinct beta, for the count and the support listing
+    alike."""
     lam = Partition((4, 3, 2, 1))
     alphas = partitions_inside(lam, lam.size // 2)
     betas = {beta for alpha in alphas for beta in lr.skew_expansion(lam, alpha)}
@@ -172,6 +173,9 @@ def test_one_search_per_expansion_per_call(monkeypatch):
     monkeypatch.setattr(tableaux, "_search", counted)
     assert nl_coefficient(lam, lam, lam) == 324
     assert 2 * len(alphas) + len(betas) == 15
+    assert len(searches) <= 15
+    searches.clear()
+    assert len(nl_sum_support(lam, lam, lam)) == 81
     assert len(searches) <= 15
 
 

@@ -1,6 +1,8 @@
 """Partition construction, text grammar, conjugation, classification,
 and bounded enumeration."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,19 @@ def all_partitions(n):
 
 def test_constructor_strips_trailing_zeros():
     assert Partition((3, 1, 0, 0)) == Partition((3, 1))
+    assert Partition((1, 0, 0)) == (1,)
+
+
+@pytest.mark.parametrize("zero", [0.0, Fraction(0)], ids=["float", "fraction"])
+def test_constructor_strips_only_int_zeros(zero):
+    """A zero that is not an int is a part like any other, and no part may
+    be a float or a fraction."""
+    with pytest.raises(ValueError, match="positive integers"):
+        Partition((1, zero))
+    with pytest.raises(ValueError, match="positive integers"):
+        lr_coefficient((1,), (1,), (2, zero))
+    with pytest.raises(ValueError, match="positive integers"):
+        Partition((1.0,))
 
 
 def test_constructor_rejects_increasing():

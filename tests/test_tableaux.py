@@ -77,6 +77,12 @@ def test_tableau_entry_lookup():
     assert WORKED.entry(0, 3) == 1
     assert WORKED.entry(2, 1) == 2
     assert WORKED.entry(3, 1) == 4
+    first = enumerate_lr_tableaux(SkewShape((3, 2), (1,)), (2, 2))[0]
+    assert first.entry(0, 1) == 1
+    for i, j in ((-1, 1), (2, 0), (0, 0), (1, 2)):
+        with pytest.raises(KeyError) as excinfo:
+            first.entry(i, j)
+        assert excinfo.value.args == ((i, j),)
 
 
 # --- reading word and content ---
