@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .lr import _cache_capacity, checked, lr_coefficient
 from .newell_littlewood import GroupSpec, _triangles, nl_coefficient, tensor_decompose
-from .partitions import _is_decimal, parse, render
+from .partitions import _is_decimal, contains, parse, render
 from .tableaux import SkewShape, ascii_diagram, enumerate_lr_tableaux, shape_diagram, tableau_json
 
 # detection and the polynomial oracle are imported by the commands that run
@@ -108,15 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lr(args) -> int:
     lam, mu, nu = parse(args.lam), parse(args.mu), parse(args.nu)
+    certs = None
+    if args.certificates:
+        # nu/lam may not be a shape, and then there is no certificate
+        certs = enumerate_lr_tableaux(SkewShape(nu, lam), mu) if contains(lam, nu) else []
     if args.backend == "polynomials":
         from .oracle import lr_via_polynomials
         value = lr_via_polynomials(lam, mu, nu)
     else:
-        value = lr_coefficient(lam, mu, nu)
-    certs = None
-    if args.certificates:
-        # a zero coefficient has no certificates, and nu/lam may not be a shape
-        certs = enumerate_lr_tableaux(SkewShape(nu, lam), mu) if value else []
+        # the certificates are the fillings the coefficient counts
+        value = lr_coefficient(lam, mu, nu) if certs is None else checked(len(certs))
     if args.format == "json":
         doc = {"lambda": render(lam), "mu": render(mu), "nu": render(nu),
                "coefficient": value}

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 from .newell_littlewood import _triangles, nl_coefficient, nl_coefficient_full
 from .partitions import (AllEven, DistinctOddEvenLength, Hook, Partition,
                          Rectangle, classify, enumerate_partitions, render)
-from .tableaux import (SkewShape, SkewTableau, _collect, content, enumerate_lr_tableaux,
+from .tableaux import (SkewShape, SkewTableau, _cuts, content, enumerate_lr_tableaux,
                        is_lr_tableau, tableau_json)
 
 ODD_SWEEP_LIMIT = 13
@@ -74,9 +74,7 @@ def _greedy_rows(shape: SkewShape, cont: Partition) -> Optional[SkewTableau]:
     if shape.size != cont.size:
         return None
     letters = [x + 1 for x, count in enumerate(cont) for _ in range(count)]
-    out: list[SkewTableau] = []
-    _collect(shape, out)(letters, None)  # the search's row cut, fed one filling
-    return out[0]
+    return SkewTableau(shape, [letters[a:b] for a, b in _cuts(shape)])  # the search's row cut
 
 
 def _certificate(lam: Partition, inner: Partition,

@@ -1,12 +1,12 @@
 """Littlewood-Richardson coefficients by direct tableau counting.
 
 Enumeration of lattice-word fillings is the single production algorithm,
-with the content fixed (one coefficient) or free (a whole skew-Schur
-expansion, the search's content tally over shapes checked here); the
-``oracle`` module recomputes the same numbers through symmetric polynomial
-arithmetic so the test suite can cross-validate. Values are exact
-non-negative integers, and the arithmetic refuses to leave signed 64-bit
-range instead of growing silently.
+with the content fixed (one coefficient) or free (every expansion, of a
+skew shape or of a whole product, read by one routine off the search's
+content tally). The ``oracle`` module recomputes the same numbers through
+symmetric polynomial arithmetic so the test suite can cross-validate.
+Values are exact non-negative integers, and the arithmetic refuses to
+leave signed 64-bit range instead of growing silently.
 
 The shared store is the package's one memo: coefficients and expansions
 only, under one cap, past which each insert drops the oldest entry. Readers
@@ -94,14 +94,15 @@ def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     return value
 
 
-def _terms(tally: dict[tuple, int]) -> dict[Partition, int]:
-    """The tallied weights with their checked multiplicities, degrees
+def _expand(shapes: Iterable[tuple], nletters: int) -> dict[Partition, int]:
+    """The contents of the lattice fillings of every (outer, inner) shape
+    with letters 1..nletters, with checked multiplicities, degrees
     descending and reverse-lex within each degree (the sentinel leads each
     key, and weights of one size compare as their zero-padded counts do)."""
     # counts[1:] is weakly decreasing (a lattice word's content), so its
     # zeros are a suffix: one slice drops them with the sentinel
     return {Partition(found[1:found.index(0) if found[-1] == 0 else len(found)]): checked(n)
-            for found, n in sorted(tally.items(), reverse=True)}
+            for found, n in sorted(_tally(shapes, nletters, True).items(), reverse=True)}
 
 
 def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partition, int]:
@@ -111,11 +112,9 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partit
     outer, inner = Partition(outer), Partition(inner)
     expansion = _shared_cache.get((outer, inner))
     if expansion is None:
-        tally: dict[tuple, int] = {}
-        if contains(inner, outer):
-            # row i of a lattice filling uses letters up to i + 1 only
-            _tally(tally, outer, inner, len(outer), True)
-        expansion = MappingProxyType(_terms(tally))
+        # row i of a lattice filling uses letters up to i + 1 only
+        shapes = [(outer, inner)] if contains(inner, outer) else []
+        expansion = MappingProxyType(_expand(shapes, len(outer)))
         _store((outer, inner), expansion)
     return expansion
 

@@ -8,9 +8,9 @@ listing and the witness search: the count adds the first factor times the
 dot product of s_{mu/alpha} with s_{nu/beta} without listing the triangles,
 and the listing joins the two expansions on gamma. The stable
 decomposition is the same sum as symmetric functions, the sum over alpha of
-s_{lam/alpha} * s_{mu/alpha}: one content-free search per alpha, handed
-the plain disconnected shape with letters capped at the rank, all tallied
-into one dict per product and not memoized.
+s_{lam/alpha} * s_{mu/alpha}: one disconnected shape per alpha, letters
+capped at the rank, all read as one expansion by the routine that builds
+the skew expansions, and not memoized.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .lr import _terms, checked, lr_coefficient_memo, skew_expansion
+from .lr import _expand, checked, lr_coefficient_memo, skew_expansion
 from .partitions import Partition, _Record, _set, partitions_inside, render
-from .tableaux import _tally
 
 
 def _meet(lam: Partition, mu: Partition) -> Partition:
@@ -199,23 +198,19 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
                     f"last weight coordinate zero, so at most {limit} parts")
             raise ValueError(f"{name} has {len(p)} parts, more than rank {group.rank}")
     n = group.rank
-    tally: dict[tuple, int] = {}
     meet = _meet(lam, mu)
     # s_{lam/alpha} * s_{mu/alpha} expands one disconnected shape: lam/alpha
     # shifted right past mu's first row (alpha fits in mu, so the inner shape
     # is a partition) above mu/alpha; the blocks share no row and no column.
     w = mu[0] if mu else 0
     outer = [part + w for part in lam] + list(mu)
+    shapes = ((outer, [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha))
+              for asize in range(meet.size + 1) for alpha in partitions_inside(meet, asize))
     # A weight of length at most n is exactly the content of a filling with
     # letters 1..n, so capping the letters is the rank filter. The exact
     # decomposition below the stable range (King's modification rules) needs
     # the long terms too, and will search with len(outer) letters instead.
-    nletters = min(n, len(outer))
-    for asize in range(meet.size + 1):
-        for alpha in partitions_inside(meet, asize):
-            inner = [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha)
-            _tally(tally, outer, inner, nletters, True)
-    ordered = _terms(tally).items()
+    ordered = _expand(shapes, min(n, len(outer))).items()
     aside = group.family == "D"
     terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}
     inadmissible = {nu: m for nu, m in ordered if aside and len(nu) == n}

@@ -11,14 +11,15 @@ reading word. The same core, with the quota and lattice checks switched off,
 enumerates plain semistandard fillings (used by the polynomial cross-check).
 
 The core is private to this module and takes plain partitions that its
-callers have already checked. It has three leaf kinds: a count (LR and
-Kostka numbers), a content tally (skew-Schur expansions, decompositions and
-content histograms), and the collected tableaux, whose row cut also shapes
-the greedy certificates of the detection module.
+callers have already checked. Its three leaf kinds each run it and return
+the answer: a count (LR and Kostka numbers), one content tally over many
+shapes (skew-Schur expansions, decompositions, content histograms) and the
+tableaux, whose row cut also shapes the detection module's greedy fillings.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, _Record, _set, contains, render
@@ -42,7 +43,11 @@ class SkewShape(_Record):
         return self.outer.size - self.inner.size
 
     def row_span(self, i: int) -> tuple[int, int]:
-        """Half-open column interval of the boxes in row ``i`` (0-indexed)."""
+        """Half-open column interval of the boxes in row ``i`` (0-indexed);
+        IndexError for a row outside the shape."""
+        if not 0 <= i < len(self.outer):
+            raise IndexError(f"row {i} is outside the shape "
+                             f"({render(self.outer)})/({render(self.inner)})")
         lo = self.inner[i] if i < len(self.inner) else 0
         return lo, self.outer[i]
 
@@ -165,7 +170,18 @@ def _search(outer: Sequence[int], inner: Sequence[int], nletters: int,
     strictness gives those boxes strictly larger letters, all at most
     ``nletters``; a larger letter here has no completion, so no leaf is
     lost and the leaf order is unchanged.
+
+    The search recurses once per box, so a shape with more boxes than the
+    interpreter's recursion limit, less a margin for the caller's own
+    frames, is refused with a ValueError before anything is planned.
     """
+    size = sum(outer) - sum(inner)
+    if quota is not None and sum(quota) != size:
+        return
+    budget = sys.getrecursionlimit() - 100
+    if size > budget:
+        raise ValueError(f"the tableau search would fill {size} boxes, "
+                         f"more than its depth budget of {budget}")
     foot = [0] * (outer[0] if outer else 0)
     j = 0
     for i in range(len(outer) - 1, -1, -1):
@@ -183,9 +199,6 @@ def _search(outer: Sequence[int], inner: Sequence[int], nletters: int,
                          cell + 1 if j + 1 < hi else -1, nletters - foot[j] + i))
         above_lo, above_start = lo, start
         start += hi - lo
-    size = len(plan)
-    if quota is not None and sum(quota) != size:
-        return
     fill = [0] * (size + 2)
     fill[-1] = nletters
     counts = [size + 1] + [0] * nletters
@@ -229,29 +242,40 @@ def _count(outer: Sequence[int], inner: Sequence[int], quota: Sequence[int],
     return hits
 
 
-def _tally(tally: dict[tuple, int], outer: Sequence[int], inner: Sequence[int],
-           nletters: int, lattice: bool) -> None:
-    """Add the content of every filling of outer/inner with letters
-    1..nletters into ``tally``, keyed by ``tuple(counts)``: the sentinel
-    ``size + 1``, then the count of each letter. With one letter count,
-    equal contents share a key whatever shape they came from."""
+def _tally(shapes: Iterable[tuple], nletters: int, lattice: bool) -> dict[tuple, int]:
+    """The content of every filling of every (outer, inner) shape with
+    letters 1..nletters, tallied into one dict keyed by ``tuple(counts)``:
+    the sentinel ``size + 1``, then the count of each letter. With one
+    letter count, equal contents share a key whatever shape they came from."""
+    tally: dict[tuple, int] = {}
+
     def bump(fill, counts):
         found = tuple(counts)
         tally[found] = tally.get(found, 0) + 1
-    _search(outer, inner, nletters, None, lattice, bump)
+    for outer, inner in shapes:
+        _search(outer, inner, nletters, None, lattice, bump)
+    return tally
 
 
-def _collect(shape: SkewShape, out: list[SkewTableau]) -> Callable:
-    """A leaf callback that cuts the row-major entries of ``fill`` into the
-    shape's rows and appends the tableau to ``out``."""
+def _cuts(shape: SkewShape) -> list[tuple[int, int]]:
+    """Slice bounds of each row of ``shape`` in its row-major list of entries."""
     cuts = []
     start = 0
     for i in range(len(shape.outer)):
         lo, hi = shape.row_span(i)
         cuts.append((start, start + hi - lo))
         start += hi - lo
-    return lambda fill, counts: out.append(
-        SkewTableau(shape, [fill[a:b] for a, b in cuts]))
+    return cuts
+
+
+def _collect(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
+             lattice: bool) -> list[SkewTableau]:
+    """Every filling of ``shape``, as tableaux in the search's order."""
+    cuts = _cuts(shape)
+    out: list[SkewTableau] = []
+    _search(shape.outer, shape.inner, nletters, quota, lattice,
+            lambda fill, counts: out.append(SkewTableau(shape, [fill[a:b] for a, b in cuts])))
+    return out
 
 
 def count_lr_fillings(shape: SkewShape, cont: Iterable[int]) -> int:
@@ -264,18 +288,14 @@ def enumerate_lr_tableaux(shape: SkewShape, cont: Iterable[int]) -> list[SkewTab
     """Every Littlewood-Richardson filling of ``shape`` with content ``cont``,
     in smallest-entry-first order; empty when the box counts disagree."""
     cont = Partition(cont)
-    out: list[SkewTableau] = []
-    _search(shape.outer, shape.inner, len(cont), cont, True, _collect(shape, out))
-    return out
+    return _collect(shape, len(cont), cont, True)
 
 
 def enumerate_semistandard_tableaux(shape: SkewShape, max_entry: int) -> list[SkewTableau]:
     """Every semistandard filling of ``shape`` with entries in 1..max_entry."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    out: list[SkewTableau] = []
-    _search(shape.outer, shape.inner, max_entry, None, False, _collect(shape, out))
-    return out
+    return _collect(shape, max_entry, None, False)
 
 
 def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[int, ...], int]:
@@ -283,8 +303,7 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
     1..max_entry; keys are full length-``max_entry`` count vectors."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    tally: dict[tuple, int] = {}
-    _tally(tally, shape.outer, shape.inner, max_entry, False)
+    tally = _tally([(shape.outer, shape.inner)], max_entry, False)
     return {found[1:]: n for found, n in tally.items()}
 
 

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
-from tensorcube import Partition, lr, parse
+from tensorcube import Partition, SkewShape, enumerate_lr_tableaux, lr, parse, tableaux
 from tensorcube.cli import main
 from tensorcube.newell_littlewood import _triangles
+from tensorcube.tableaux import ascii_diagram
 
 
 def run(capsys, *argv):
@@ -59,6 +60,24 @@ def test_lr_certificates_of_a_zero_coefficient(capsys):
     code, out = run(capsys, "lr", "3", "1", "2,2", "--certificates", "--format", "json")
     assert code == 0
     assert json.loads(out)["certificates"] == []
+
+
+def test_lr_certificates_search_once(capsys, monkeypatch):
+    """The coefficient printed with --certificates is their count, so the
+    command makes one search, not a count and then an enumeration."""
+    shape = SkewShape((6, 4, 4, 2), (3, 2, 1))
+    expected = "3\n" + "".join(f"\n{ascii_diagram(t)}\n"
+                               for t in enumerate_lr_tableaux(shape, (4, 3, 2, 1)))
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    search = tableaux._search
+    monkeypatch.setattr(tableaux, "_search", counted)
+    assert run(capsys, "lr", "3,2,1", "4,3,2,1", "6,4,4,2", "--certificates") == (0, expected)
+    assert len(searches) == 1
 
 
 def test_lr_polynomial_backend_agrees(capsys):
@@ -169,6 +188,30 @@ def test_detect_too_many_parts_exits_2(capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, boxes", [
+    (["lr", "997", "997", "1994"], 997),
+    (["detect", "1998"], 999),
+    (["decompose", "1000", "1", "--family", "C", "--rank", "2"], 1001),
+], ids=["lr", "detect", "decompose"])
+def test_search_past_its_depth_budget_exits_2(capsys, argv, boxes):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the tableau search would fill {boxes} boxes, ")
+
+
+def test_depth_budget_leaves_room_for_the_callers(capsys):
+    """A one-row shape of exactly the budget answers under the test runner's
+    own frames, through the command's whole call chain; one box more is
+    refused."""
+    budget = sys.getrecursionlimit() - 100
+    assert run(capsys, "lr", str(budget), str(budget), str(2 * budget)) == (0, "1\n")
+    code, out = run(capsys, "detect", str(2 * budget))
+    assert code == 0 and f"size={2 * budget}" in out
+    assert main(["lr", str(budget + 1), str(budget + 1), str(2 * budget + 2)]) == 2
+    assert f"{budget + 1} boxes" in capsys.readouterr().err
 
 
 def test_detect_plain_fields(capsys):

@@ -52,6 +52,12 @@ def test_vanishing_guards():
     assert lr_coefficient((1, 1), (3,), (2, 2, 1)) == 0
 
 
+def test_shapes_past_the_search_depth_budget_are_refused():
+    assert lr_coefficient((450,), (450,), (900,)) == 1
+    with pytest.raises(ValueError, match="997 boxes"):
+        lr_coefficient((997,), (997,), (1994,))
+
+
 def test_symmetry_in_lower_arguments():
     """c is symmetric in the first two arguments, |nu| <= 8 exhaustive."""
     for n in range(9):

@@ -59,6 +59,12 @@ def test_shape_size_and_spans():
     assert s.row_span(0) == (3, 6)
     assert s.row_span(3) == (0, 2)
     assert len(list(s.boxes())) == 10
+    s = SkewShape((3, 2), (1,))
+    assert s.row_span(0) == (1, 3)
+    assert s.row_span(1) == (0, 2)
+    for row in (-1, -2, 2):
+        with pytest.raises(IndexError, match=rf"row {row} is outside the shape \(3,2\)/\(1\)"):
+            s.row_span(row)
 
 
 def test_tableau_rejects_wrong_row_lengths():
@@ -167,6 +173,18 @@ def test_count_zero_on_size_mismatch():
     # a content larger than the shape: filling every box does not meet it
     assert count_lr_fillings(SkewShape((2, 1), ()), (2, 1, 1)) == 0
     assert enumerate_lr_tableaux(SkewShape((2, 1), ()), (2, 1, 1)) == []
+
+
+def test_search_refuses_shapes_past_its_depth_budget():
+    """The search recurses once per box: a shape with more boxes than the
+    recursion limit less the callers' margin is refused before it is
+    planned, while a content of the wrong size still gives 0 at any size."""
+    with pytest.raises(ValueError, match="fill 997 boxes, more than its depth budget"):
+        count_lr_fillings(SkewShape((1994,), (997,)), (997,))
+    with pytest.raises(ValueError, match="depth budget"):
+        semistandard_content_counts(SkewShape((10**7,), ()), 1)
+    assert count_lr_fillings(SkewShape((10**7,), (1,)), (3,)) == 0
+    assert enumerate_lr_tableaux(SkewShape((10**7,), ()), (1,)) == []
 
 
 def test_enumeration_outputs_are_lr():
