@@ -3,8 +3,11 @@
 Enumeration of lattice-word fillings is the single production algorithm,
 with the content fixed (one coefficient) or free (every expansion, of a
 skew shape or of a whole product, read by one routine off the search's
-content tally). The ``oracle`` module recomputes the same numbers through
-symmetric polynomial arithmetic so the test suite can cross-validate.
+content tally). Since c(lam, mu; nu) = c(mu, lam; nu), a coefficient is
+counted on its smaller side: nu less the larger lower shape, filled with
+the smaller one as content, so the search fills min(|lam|, |mu|) boxes.
+The ``oracle`` module recomputes the same numbers through symmetric
+polynomial arithmetic so the test suite can cross-validate.
 Values are exact non-negative integers, and the arithmetic refuses to
 leave signed 64-bit range instead of growing silently.
 
@@ -58,38 +61,52 @@ def _store(key, value) -> None:
             _shared_cache[key] = value
 
 
+def _smaller_first(lam: Partition, mu: Partition, lam_size: int,
+                   mu_size: int) -> tuple[Partition, Partition]:
+    """The lower shapes of an LR triple, the smaller first: by size, then
+    number of parts, then parts. Its content is the cheaper one to fill,
+    with fewer boxes or, at one size, fewer letters."""
+    if (mu_size, len(mu), mu) < (lam_size, len(lam), lam):
+        return mu, lam
+    return lam, mu
+
+
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
-    """Number of Littlewood-Richardson tableaux of shape ``nu - lam`` and
-    content ``mu``: zero unless the sizes add up and both lower shapes fit
-    inside ``nu``."""
+    """c(lam, mu; nu): zero unless the sizes add up and both lower shapes
+    fit inside ``nu``; otherwise the number of Littlewood-Richardson
+    tableaux of shape ``nu`` less the larger lower shape, with the smaller
+    as content (the number with shape ``nu - lam`` and content ``mu`` is
+    the same). Either order of ``lam`` and ``mu`` runs the same search."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if nu.size != lam.size + mu.size:
+    lam_size, mu_size = lam.size, mu.size
+    if nu.size != lam_size + mu_size:
         return 0
     if not contains(lam, nu) or not contains(mu, nu):
         return 0
-    return checked(count_lr_fillings(SkewShape(nu, lam), mu))
+    small, large = _smaller_first(lam, mu, lam_size, mu_size)
+    return checked(count_lr_fillings(SkewShape(nu, large), small))
 
 
 def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Memoized :func:`lr_coefficient`.
 
-    The coefficient is symmetric in the two lower shapes, so both orders
-    share one entry of the shared store (keyed with the smaller of the pair
-    first, compared by size then parts); the store is capped by the
-    ``TENSORCUBE_CACHE_CAP`` environment variable. Only triples that pass
-    both containment checks are stored, so a hit skips those checks."""
+    Both orders of the lower shapes share one entry of the shared store,
+    keyed (smaller, larger, nu) in the order that picks the side to count;
+    a miss runs the same search as :func:`lr_coefficient`. The store is
+    capped by the ``TENSORCUBE_CACHE_CAP`` environment variable. Only
+    triples that pass both containment checks are stored, so a hit skips
+    those checks."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     lam_size, mu_size = lam.size, mu.size
     if nu.size != lam_size + mu_size:
         return 0
-    if (mu_size, mu) < (lam_size, lam):
-        lam, mu = mu, lam
-    key = (lam, mu, nu)
+    small, large = _smaller_first(lam, mu, lam_size, mu_size)
+    key = (small, large, nu)
     value = _shared_cache.get(key)
     if value is None:
-        if not contains(lam, nu) or not contains(mu, nu):
+        if not contains(small, nu) or not contains(large, nu):
             return 0
-        value = checked(count_lr_fillings(SkewShape(nu, lam), mu))
+        value = checked(count_lr_fillings(SkewShape(nu, large), small))
         _store(key, value)
     return value
 

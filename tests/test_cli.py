@@ -202,6 +202,19 @@ def test_search_past_its_depth_budget_exits_2(capsys, argv, boxes):
     assert captured.err.startswith(f"error: the tableau search would fill {boxes} boxes, ")
 
 
+def test_depth_budget_counts_the_smaller_side(capsys):
+    """A count fills the smaller lower shape's boxes in either order; the
+    certificates are the fillings of nu/lam, so they still pass the budget."""
+    assert run(capsys, "lr", "1", "997", "998") == (0, "1\n")
+    assert run(capsys, "lr", "997", "1", "998") == (0, "1\n")
+    assert main(["lr", "997", "997", "1994"]) == 2
+    assert "would fill 997 boxes" in capsys.readouterr().err
+    assert main(["lr", "1", "997", "998", "--certificates"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the tableau search would fill 997 boxes, ")
+
+
 def test_depth_budget_leaves_room_for_the_callers(capsys):
     """A one-row shape of exactly the budget answers under the test runner's
     own frames, through the command's whole call chain; one box more is

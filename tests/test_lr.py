@@ -6,12 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import gen_partitions
+from oracles import brute_lr, gen_partitions
 from tensorcube import (
     INT64_MAX,
     GroupSpec,
     Partition,
+    SkewShape,
     clear_cache,
+    count_lr_fillings,
     lr,
     lr_coefficient,
     lr_coefficient_memo,
@@ -58,16 +60,81 @@ def test_shapes_past_the_search_depth_budget_are_refused():
         lr_coefficient((997,), (997,), (1994,))
 
 
+def test_depth_budget_does_not_depend_on_argument_order():
+    """c((1),(997);(998)) fills one box whichever lower shape comes first."""
+    for coefficient in (lr_coefficient, lr_coefficient_memo):
+        clear_cache()
+        assert coefficient((1,), (997,), (998,)) == 1
+        clear_cache()
+        assert coefficient((997,), (1,), (998,)) == 1
+    clear_cache()
+
+
 def test_symmetry_in_lower_arguments():
-    """c is symmetric in the first two arguments, |nu| <= 8 exhaustive."""
+    """c is symmetric in the first two arguments, |nu| <= 8 exhaustive over
+    contained pairs: the fillings of nu/lam with content mu against those of
+    nu/mu with content lam, two independent searches."""
     for n in range(9):
         for nu in all_partitions(n):
             for k in range(n + 1):
                 for lam in all_partitions(k):
+                    if not contains(lam, nu):
+                        continue
                     for mu in all_partitions(n - k):
-                        assert lr_coefficient(lam, mu, nu) == lr_coefficient(
-                            mu, lam, nu
-                        )
+                        if contains(mu, nu):
+                            by_mu = count_lr_fillings(SkewShape(nu, lam), mu)
+                            by_lam = count_lr_fillings(SkewShape(nu, mu), lam)
+                            assert by_mu == by_lam, (lam, mu, nu)
+
+
+def test_coefficients_match_brute_force_in_both_orders():
+    """lr_coefficient and lr_coefficient_memo against the labeling oracle,
+    every triple of matching sizes with |nu| <= 6, both orders of the lower
+    shapes, the store cleared once."""
+    clear_cache()
+    for n in range(7):
+        for nu in all_partitions(n):
+            for k in range(n + 1):
+                for lam in all_partitions(k):
+                    for mu in all_partitions(n - k):
+                        expected = brute_lr(lam, mu, nu)
+                        for coefficient in (lr_coefficient, lr_coefficient_memo):
+                            assert coefficient(lam, mu, nu) == expected, (lam, mu, nu)
+                            assert coefficient(mu, lam, nu) == expected, (mu, lam, nu)
+    clear_cache()
+
+
+def test_each_count_fills_the_smaller_side(monkeypatch):
+    """Every contained triple with |nu| <= 6 whose lower shapes differ in
+    size or, at one size, in length: in both orders, each call of either
+    function makes at most one search, and it fills nu less the larger
+    lower shape with the smaller as content; a warm memo makes none."""
+    searches = []
+
+    def record(shape, cont):
+        searches.append((shape.size, shape.inner, Partition(cont)))
+        return count_lr_fillings(shape, cont)
+
+    monkeypatch.setattr(lr, "count_lr_fillings", record)
+    triples = [(lam, mu, nu) for n in range(7) for nu in all_partitions(n)
+               for k in range(n + 1) for lam in all_partitions(k)
+               for mu in all_partitions(n - k)
+               if contains(lam, nu) and contains(mu, nu)
+               and (lam.size, len(lam)) < (mu.size, len(mu))]
+    assert (Partition((1,)), Partition((2, 1)), Partition((3, 1))) in triples
+    # one size: the content with fewer parts, though (1,1,1) sorts first as a tuple
+    assert (Partition((2, 1)), Partition((1, 1, 1)), Partition((3, 2, 1))) in triples
+    for small, large, nu in triples:
+        expected = [(small.size, large, small)]
+        for lam, mu in ((small, large), (large, small)):
+            clear_cache()
+            for coefficient, calls in ((lr_coefficient, [expected]),
+                                       (lr_coefficient_memo, [expected, []])):
+                for searched in calls:  # the memo cold, then warm
+                    searches.clear()
+                    coefficient(lam, mu, nu)
+                    assert searches == searched, (coefficient.__name__, lam, mu, nu)
+    clear_cache()
 
 
 def test_conjugation_identity():
