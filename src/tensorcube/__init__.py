@@ -21,8 +21,7 @@ _EXPORTS = {
                  "count_lr_fillings", "enumerate_lr_tableaux",
                  "enumerate_semistandard_tableaux", "is_lattice", "is_lr_tableau",
                  "is_semistandard", "shape_diagram", "tableau_json", "word"),
-    "lr": ("INT64_MAX", "clear_cache", "lr_coefficient", "lr_coefficient_memo",
-           "skew_expansion"),
+    "lr": ("INT64_MAX", "clear_cache", "lr_coefficient", "skew_expansion"),
     "newell_littlewood": ("DecompositionResult", "GroupSpec", "nl_coefficient",
                           "nl_coefficient_full", "nl_sum_support", "tensor_decompose"),
     "detection": ("DetectionVerdict", "SweepReport", "WitnessTriple", "build_witness",

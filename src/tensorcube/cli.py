@@ -6,9 +6,11 @@ lines), json (one document per run, JSON lines for sweeps), ascii-diagram
 (detect only); 2 usage, parse or precondition errors; 3 arithmetic overflow;
 4 internal invariant failure.
 
-Environment: TENSORCUBE_CACHE_CAP bounds the shared memo store, dropping
-the oldest entries once full (a non-negative integer; anything else exits 2);
-TENSORCUBE_COLOR=1 turns on ANSI color for plain verdicts.
+Diagrams are drawn up to a fixed number of cells: ``render`` of a larger
+shape, other than in JSON, and ``lr --certificates`` with a larger upper
+shape exit 2 instead of exhausting memory.
+
+Environment: TENSORCUBE_COLOR=1 turns on ANSI color for plain verdicts.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .lr import _cache_capacity, checked, lr_coefficient
+from .lr import checked, lr_coefficient
 from .newell_littlewood import GroupSpec, _triangles, nl_coefficient, tensor_decompose
 from .partitions import _is_decimal, contains, parse, render
-from .tableaux import SkewShape, ascii_diagram, enumerate_lr_tableaux, shape_diagram, tableau_json
+from .tableaux import (SkewShape, _check_drawable, ascii_diagram, enumerate_lr_tableaux,
+                       shape_diagram, tableau_json)
 
 # detection and the polynomial oracle are imported by the commands that run
 # them, so that no other command pays for loading them at start-up
@@ -110,7 +113,10 @@ def _cmd_lr(args) -> int:
     lam, mu, nu = parse(args.lam), parse(args.mu), parse(args.nu)
     certs = None
     if args.certificates:
-        # nu/lam may not be a shape, and then there is no certificate
+        # each certificate is drawn on nu's diagram, so one too large to draw
+        # is refused before the search; nu/lam may not be a shape, and then
+        # there is no certificate
+        _check_drawable(nu)
         certs = enumerate_lr_tableaux(SkewShape(nu, lam), mu) if contains(lam, nu) else []
     if args.backend == "polynomials":
         from .oracle import lr_via_polynomials
@@ -251,7 +257,6 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _cache_capacity()  # a bad TENSORCUBE_CACHE_CAP fails every command alike
         return _HANDLERS[args.command](args)
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

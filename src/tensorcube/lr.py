@@ -11,28 +11,20 @@ polynomial arithmetic so the test suite can cross-validate.
 Values are exact non-negative integers, and the arithmetic refuses to
 leave signed 64-bit range instead of growing silently.
 
-The shared store is the package's one memo: coefficients and expansions
-only, under one cap, past which each insert drops the oldest entry. Readers
-are safe under the interpreter lock; ``_store``, the only writer, serializes
-insertions and evictions.
+Nothing here is memoized. Every value one Newell-Littlewood sum reads has
+one of its three labels as the outer shape, so no value is reused from one
+weight to the next; the sums in ``newell_littlewood`` keep their own memos,
+which end with the call.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .partitions import Partition, _is_decimal, contains
+from .partitions import Partition, contains
 from .tableaux import SkewShape, _tally, count_lr_fillings
 
 INT64_MAX = 2**63 - 1
-
-_cache_lock = threading.Lock()
-_shared_cache: OrderedDict = OrderedDict()
-_cap: int | None = None
 
 
 def checked(value: int) -> int:
@@ -40,25 +32,6 @@ def checked(value: int) -> int:
     if value > INT64_MAX:
         raise OverflowError(f"coefficient arithmetic left 64-bit range: {value}")
     return value
-
-
-def _cache_capacity() -> int:
-    global _cap
-    if _cap is None:
-        raw = os.environ.get("TENSORCUBE_CACHE_CAP", str(1 << 20))
-        if not _is_decimal(raw.strip()):
-            raise ValueError(f"TENSORCUBE_CACHE_CAP must be a non-negative integer, got {raw!r}")
-        _cap = int(raw)
-    return _cap
-
-
-def _store(key, value) -> None:
-    cap = _cache_capacity()
-    if cap:
-        with _cache_lock:
-            if len(_shared_cache) >= cap:
-                _shared_cache.popitem(last=False)
-            _shared_cache[key] = value
 
 
 def _smaller_first(lam: Partition, mu: Partition, lam_size: int,
@@ -87,30 +60,6 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     return checked(count_lr_fillings(SkewShape(nu, large), small))
 
 
-def lr_coefficient_memo(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
-    """Memoized :func:`lr_coefficient`.
-
-    Both orders of the lower shapes share one entry of the shared store,
-    keyed (smaller, larger, nu) in the order that picks the side to count;
-    a miss runs the same search as :func:`lr_coefficient`. The store is
-    capped by the ``TENSORCUBE_CACHE_CAP`` environment variable. Only
-    triples that pass both containment checks are stored, so a hit skips
-    those checks."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    lam_size, mu_size = lam.size, mu.size
-    if nu.size != lam_size + mu_size:
-        return 0
-    small, large = _smaller_first(lam, mu, lam_size, mu_size)
-    key = (small, large, nu)
-    value = _shared_cache.get(key)
-    if value is None:
-        if not contains(small, nu) or not contains(large, nu):
-            return 0
-        value = checked(count_lr_fillings(SkewShape(nu, large), small))
-        _store(key, value)
-    return value
-
-
 def _expand(shapes: Iterable[tuple], nletters: int) -> dict[Partition, int]:
     """The contents of the lattice fillings of every (outer, inner) shape
     with letters 1..nletters, with checked multiplicities, degrees
@@ -122,21 +71,16 @@ def _expand(shapes: Iterable[tuple], nletters: int) -> dict[Partition, int]:
             for found, n in sorted(_tally(shapes, nletters, True).items(), reverse=True)}
 
 
-def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> Mapping[Partition, int]:
+def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> dict[Partition, int]:
     """s_{outer/inner} in the Schur basis, ``{beta: c(inner, beta -> outer)}``
-    without zero terms, from one search with the content left free; a
-    read-only view of the memoized dict, its terms in reverse-lex order."""
+    without zero terms, from one search with the content left free; a fresh
+    dict on every call, its terms in reverse-lex order."""
     outer, inner = Partition(outer), Partition(inner)
-    expansion = _shared_cache.get((outer, inner))
-    if expansion is None:
-        # row i of a lattice filling uses letters up to i + 1 only
-        shapes = [(outer, inner)] if contains(inner, outer) else []
-        expansion = MappingProxyType(_expand(shapes, len(outer)))
-        _store((outer, inner), expansion)
-    return expansion
+    # row i of a lattice filling uses letters up to i + 1 only
+    shapes = [(outer, inner)] if contains(inner, outer) else []
+    return _expand(shapes, len(outer))
 
 
 def clear_cache() -> None:
-    """Drop every memoized value of the package (mainly for tests and benchmarks)."""
-    with _cache_lock:
-        _shared_cache.clear()
+    """Do nothing: the package keeps no memo between calls. Kept so that
+    callers which clear before each timed or checked call still run."""

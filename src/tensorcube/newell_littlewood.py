@@ -10,16 +10,17 @@ and the listing joins the two expansions on gamma. The stable
 decomposition is the same sum as symmetric functions, the sum over alpha of
 s_{lam/alpha} * s_{mu/alpha}: one disconnected shape per alpha, letters
 capped at the rank, all read as one expansion by the routine that builds
-the skew expansions, and not memoized.
+the skew expansions, and not memoized. The sums memoize only within one
+call, so nothing they keep outlives it.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .lr import _expand, checked, lr_coefficient_memo, skew_expansion
+from .lr import _expand, _smaller_first, checked, lr_coefficient, skew_expansion
 from .partitions import Partition, _Record, _set, partitions_inside, render
 
 
@@ -31,19 +32,24 @@ def _meet(lam: Partition, mu: Partition) -> Partition:
 def _walk(lam: Partition, mu: Partition, nu: Partition):
     """The triple sum's outer loops: (alpha, beta, c_ab, s_{mu/alpha},
     s_{nu/beta}) over alpha of the forced size inside lam and mu and the terms
-    beta of s_{lam/alpha}, in stored order, each s_{nu/beta} fetched once per
-    walk; nothing when the total size is odd or the forced sizes go negative."""
+    beta of s_{lam/alpha}, in reverse-lex order; nothing when the total size
+    is odd or the forced sizes go negative. Each expansion is searched once
+    per walk, into a memo keyed (outer, inner) that ends with the walk."""
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
-    rights: dict[Partition, Mapping[Partition, int]] = {}
+    memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+
+    def expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
+        found = memo.get((outer, inner))
+        if found is None:
+            found = memo[outer, inner] = skew_expansion(outer, inner)
+        return found
+
     for alpha in partitions_inside(_meet(lam, mu), twice // 2):
-        left = skew_expansion(mu, alpha)
-        for beta, cab in skew_expansion(lam, alpha).items():
-            right = rights.get(beta)
-            if right is None:
-                right = rights[beta] = skew_expansion(nu, beta)
-            yield alpha, beta, cab, left, right
+        left = expansion(mu, alpha)
+        for beta, cab in expansion(lam, alpha).items():
+            yield alpha, beta, cab, left, expansion(nu, beta)
 
 
 def _triangles(lam: Partition, mu: Partition, nu: Partition):
@@ -62,12 +68,11 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
 
     Counts without listing the triangles: over the walk it adds c_ab times
     the dot product of s_{mu/alpha} with s_{nu/beta}, looping over the
-    shorter expansion. Each s_{nu/beta} is fetched from the store once per
-    call. Returns 0 immediately when the total size is odd; the shortcut
-    agrees with the full sum (the suite confirms this by running the sum
-    without it, see :func:`nl_coefficient_full`). Every term is positive, so
-    one check of the total refuses exactly the sums that leave 64-bit
-    range."""
+    shorter expansion, and searches each expansion once per call. Returns
+    0 immediately when the total size is odd; the shortcut agrees with the
+    full sum (the suite confirms this by running the sum without it, see
+    :func:`nl_coefficient_full`). Every term is positive, so one check of
+    the total refuses exactly the sums that leave 64-bit range."""
     total = 0
     for _, _, cab, left, right in _walk(Partition(lam), Partition(mu), Partition(nu)):
         short, long = (left, right) if len(left) <= len(right) else (right, left)
@@ -79,8 +84,18 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
 def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Same value as :func:`nl_coefficient`, deliberately naive: no parity
     shortcut, no expansions; every triangle allowed by the first two factors
-    is visited and each factor is a separate memoized coefficient."""
+    is visited and each factor is a separate LR coefficient, each unordered
+    triple counted once per call."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    memo: dict[tuple[Partition, Partition, Partition], int] = {}
+
+    def coefficient(a: Partition, b: Partition, c: Partition) -> int:
+        key = (*_smaller_first(a, b, a.size, b.size), c)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = lr_coefficient(a, b, c)
+        return value
+
     meet = _meet(lam, mu)
     total = 0
     for asize in range(min(lam.size, mu.size) + 1):
@@ -89,17 +104,17 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
         for alpha in partitions_inside(meet, asize):
             betas = []
             for beta in beta_candidates:
-                cab = lr_coefficient_memo(alpha, beta, lam)
+                cab = coefficient(alpha, beta, lam)
                 if cab:
                     betas.append((beta, cab))
             if not betas:
                 continue
             for gamma in gamma_candidates:
-                cag = lr_coefficient_memo(alpha, gamma, mu)
+                cag = coefficient(alpha, gamma, mu)
                 if not cag:
                     continue
                 for beta, cab in betas:
-                    cbg = lr_coefficient_memo(beta, gamma, nu)
+                    cbg = coefficient(beta, gamma, nu)
                     if cbg:
                         total += cab * cag * cbg
     return checked(total)

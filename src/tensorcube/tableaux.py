@@ -307,8 +307,23 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
     return {found[1:]: n for found, n in tally.items()}
 
 
+# The most cells a diagram is drawn with, inner boxes included: a larger
+# one is refused before any of it is built.
+_MAX_DIAGRAM_CELLS = 10**6
+
+
+def _check_drawable(outer: Partition) -> None:
+    """Refuse, with a ValueError, a diagram of more than
+    ``_MAX_DIAGRAM_CELLS`` cells, one per box of ``outer``."""
+    cells = outer.size
+    if cells > _MAX_DIAGRAM_CELLS:
+        raise ValueError(f"a diagram of {cells} cells is past the drawing bound "
+                         f"of {_MAX_DIAGRAM_CELLS} cells")
+
+
 def ascii_diagram(tableau: SkewTableau) -> str:
     """Text diagram, one line per row, ``.`` marking the removed inner boxes."""
+    _check_drawable(tableau.shape.outer)
     cells_by_row = []
     width = 1
     for i, row in enumerate(tableau.rows):
@@ -321,6 +336,7 @@ def ascii_diagram(tableau: SkewTableau) -> str:
 
 def shape_diagram(shape: SkewShape) -> str:
     """Diagram of the bare shape: ``.`` for inner boxes, ``#`` for cells."""
+    _check_drawable(shape.outer)
     lines = []
     for i in range(len(shape.outer)):
         lo, hi = shape.row_span(i)
@@ -330,6 +346,7 @@ def shape_diagram(shape: SkewShape) -> str:
 
 def tableau_json(tableau: SkewTableau) -> dict:
     """JSON form: rendered shapes plus full rows, ``None`` in inner boxes."""
+    _check_drawable(tableau.shape.outer)
     rows = []
     for i, row in enumerate(tableau.rows):
         lo, _ = tableau.shape.row_span(i)

@@ -122,12 +122,10 @@ def test_nl_support_walks_the_triangles_once(capsys, monkeypatch):
 
 def test_nl_support_beyond_the_range_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(lr, "INT64_MAX", 1)
-    lr.clear_cache()
     assert main(["nl", "2,2", "2,2", "2,2", "--support"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: coefficient arithmetic left 64-bit range: 2\n"
-    lr.clear_cache()
 
 
 def test_nl_empty_arguments(capsys):
@@ -393,6 +391,29 @@ def test_render_json(capsys):
     assert doc["inner"] == ""
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (["render", "10000000000"], 10**10),
+    (["render", "10000000000", "--format", "ascii-diagram"], 10**10),
+    (["lr", "10000000000", "1", "10000000001", "--certificates", "--format", "json"],
+     10**10 + 1),
+    (["lr", "10000000000", "1", "10000000001", "--certificates"], 10**10 + 1),
+], ids=["render", "render-ascii", "lr-certificates-json", "lr-certificates"])
+def test_diagram_past_its_bound_exits_2(capsys, argv, cells):
+    """Refused before anything of the diagram, or of the search for the
+    certificates drawn on it, is built."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: a diagram of {cells} cells is past the drawing "
+                            f"bound of {tableaux._MAX_DIAGRAM_CELLS} cells\n")
+
+
+def test_render_json_has_no_diagram_bound(capsys):
+    code, out = run(capsys, "render", "10000000000", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"outer": "10000000000", "inner": "", "boxes": 10**10}
+
+
 # --- error class mapping ---
 
 def test_overflow_maps_to_exit_3(capsys, monkeypatch):
@@ -405,12 +426,10 @@ def test_overflow_maps_to_exit_3(capsys, monkeypatch):
 
 def test_nl_beyond_the_range_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(lr, "INT64_MAX", 1)
-    lr.clear_cache()
     assert main(["nl", "2,2", "2,2", "2,2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: coefficient arithmetic left 64-bit range: 2\n"
-    lr.clear_cache()
 
 
 def test_internal_failure_maps_to_exit_4(capsys, monkeypatch):
@@ -419,26 +438,6 @@ def test_internal_failure_maps_to_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr("tensorcube.detection.detects", boom)
     assert main(["detect", "4,4"]) == 4
-
-
-@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "\uff15"])
-@pytest.mark.parametrize("argv", [["nl", "2", "2", "2"], ["render", "2,1"]])
-def test_bad_cache_cap_exits_2(capsys, monkeypatch, raw, argv):
-    monkeypatch.setenv("TENSORCUBE_CACHE_CAP", raw)
-    monkeypatch.setattr(lr, "_cap", None)
-    lr.clear_cache()
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "TENSORCUBE_CACHE_CAP" in captured.err and repr(raw) in captured.err
-
-
-def test_cache_cap_zero_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("TENSORCUBE_CACHE_CAP", "0")
-    monkeypatch.setattr(lr, "_cap", None)
-    lr.clear_cache()
-    assert run(capsys, "nl", "2,2", "2,2", "2,2") == (0, "2\n")
-    assert lr._shared_cache == {}
 
 
 def test_console_script_entry_point():

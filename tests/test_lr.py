@@ -1,8 +1,5 @@
 """lr_coefficient contract: guard conditions, symmetry, conjugation,
-memoization transparency, skew expansions, and checked 64-bit arithmetic."""
-
-import sys
-from concurrent.futures import ThreadPoolExecutor
+skew expansions, and checked 64-bit arithmetic."""
 
 import pytest
 
@@ -16,7 +13,6 @@ from tensorcube import (
     count_lr_fillings,
     lr,
     lr_coefficient,
-    lr_coefficient_memo,
     nl_coefficient,
     nl_coefficient_full,
     skew_expansion,
@@ -62,12 +58,8 @@ def test_shapes_past_the_search_depth_budget_are_refused():
 
 def test_depth_budget_does_not_depend_on_argument_order():
     """c((1),(997);(998)) fills one box whichever lower shape comes first."""
-    for coefficient in (lr_coefficient, lr_coefficient_memo):
-        clear_cache()
-        assert coefficient((1,), (997,), (998,)) == 1
-        clear_cache()
-        assert coefficient((997,), (1,), (998,)) == 1
-    clear_cache()
+    assert lr_coefficient((1,), (997,), (998,)) == 1
+    assert lr_coefficient((997,), (1,), (998,)) == 1
 
 
 def test_symmetry_in_lower_arguments():
@@ -88,27 +80,23 @@ def test_symmetry_in_lower_arguments():
 
 
 def test_coefficients_match_brute_force_in_both_orders():
-    """lr_coefficient and lr_coefficient_memo against the labeling oracle,
-    every triple of matching sizes with |nu| <= 6, both orders of the lower
-    shapes, the store cleared once."""
-    clear_cache()
+    """lr_coefficient against the labeling oracle, every triple of matching
+    sizes with |nu| <= 6, both orders of the lower shapes."""
     for n in range(7):
         for nu in all_partitions(n):
             for k in range(n + 1):
                 for lam in all_partitions(k):
                     for mu in all_partitions(n - k):
                         expected = brute_lr(lam, mu, nu)
-                        for coefficient in (lr_coefficient, lr_coefficient_memo):
-                            assert coefficient(lam, mu, nu) == expected, (lam, mu, nu)
-                            assert coefficient(mu, lam, nu) == expected, (mu, lam, nu)
-    clear_cache()
+                        assert lr_coefficient(lam, mu, nu) == expected, (lam, mu, nu)
+                        assert lr_coefficient(mu, lam, nu) == expected, (mu, lam, nu)
 
 
 def test_each_count_fills_the_smaller_side(monkeypatch):
     """Every contained triple with |nu| <= 6 whose lower shapes differ in
-    size or, at one size, in length: in both orders, each call of either
-    function makes at most one search, and it fills nu less the larger
-    lower shape with the smaller as content; a warm memo makes none."""
+    size or, at one size, in length: in both orders, each call makes one
+    search, and it fills nu less the larger lower shape with the smaller as
+    content."""
     searches = []
 
     def record(shape, cont):
@@ -125,16 +113,10 @@ def test_each_count_fills_the_smaller_side(monkeypatch):
     # one size: the content with fewer parts, though (1,1,1) sorts first as a tuple
     assert (Partition((2, 1)), Partition((1, 1, 1)), Partition((3, 2, 1))) in triples
     for small, large, nu in triples:
-        expected = [(small.size, large, small)]
         for lam, mu in ((small, large), (large, small)):
-            clear_cache()
-            for coefficient, calls in ((lr_coefficient, [expected]),
-                                       (lr_coefficient_memo, [expected, []])):
-                for searched in calls:  # the memo cold, then warm
-                    searches.clear()
-                    coefficient(lam, mu, nu)
-                    assert searches == searched, (coefficient.__name__, lam, mu, nu)
-    clear_cache()
+            searches.clear()
+            lr_coefficient(lam, mu, nu)
+            assert searches == [(small.size, large, small)], (lam, mu, nu)
 
 
 def test_conjugation_identity():
@@ -151,124 +133,18 @@ def test_conjugation_identity():
                         )
 
 
-# --- memoization ---
+# --- no memo between calls ---
 
-def test_memo_matches_direct():
-    """Every triple of matching sizes with |nu| <= 7, the store cold on the
-    first pass and warm on the second; triples that fail containment, such
-    as ((2,2),(1),(3,1,1)), must never be answered from the store."""
-    triples = [(lam, mu, nu)
-               for n in range(8)
-               for nu in all_partitions(n)
-               for k in range(n + 1)
-               for lam in all_partitions(k)
-               for mu in all_partitions(n - k)]
-    assert (Partition((2, 2)), Partition((1,)), Partition((3, 1, 1))) in triples
+def test_clear_cache_leaves_the_oracle_caches():
+    """The package keeps no memo between calls, so clearing has nothing to
+    drop; the polynomial oracle's own caches stay as they were."""
+    from tensorcube import oracle
+    assert oracle.lr_via_polynomials((2, 1), (2, 1), (3, 2, 1)) == 2
+    caches = [oracle._schur_cached, oracle._kostka, oracle._schur_sector]
+    before = [f.cache_info() for f in caches]
+    assert all(info.currsize for info in before)
     clear_cache()
-    for _ in range(2):
-        for lam, mu, nu in triples:
-            assert lr_coefficient_memo(lam, mu, nu) == lr_coefficient(lam, mu, nu), (lam, mu, nu)
-    for lam, mu, nu in lr._shared_cache:
-        assert contains(lam, nu) and contains(mu, nu)
-    clear_cache()
-
-
-def test_memo_normalizes_argument_order():
-    clear_cache()
-    a = lr_coefficient_memo((2, 1), (3, 1), (4, 2, 1))
-    b = lr_coefficient_memo((3, 1), (2, 1), (4, 2, 1))
-    assert a == b
-    assert len(lr._shared_cache) == 1
-    clear_cache()
-
-
-def test_memo_value_is_stored_in_shared_cache():
-    clear_cache()
-    lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1))
-    assert list(lr._shared_cache.items()) == [
-        ((Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1))),
-         lr_coefficient((2, 1), (2, 1), (3, 2, 1))),
-    ]
-    clear_cache()
-
-
-def test_memo_poisoned_cache_is_trusted():
-    # the store is authoritative; proves lookups actually hit it
-    clear_cache()
-    lr_coefficient_memo((1,), (1,), (2,))
-    key = next(iter(lr._shared_cache))
-    lr._shared_cache[key] = 99
-    assert lr_coefficient_memo((1,), (1,), (2,)) == 99
-    clear_cache()
-
-
-def test_memo_hit_skips_containment_checks(monkeypatch):
-    clear_cache()
-    value = lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1))
-
-    def refuse(*args):
-        raise AssertionError("containment checked on a hit")
-
-    monkeypatch.setattr(lr, "contains", refuse)
-    assert lr_coefficient_memo((2, 1), (2, 1), (3, 2, 1)) == value == 2
-    clear_cache()
-
-
-def test_shared_cache_clear():
-    clear_cache()
-    assert lr_coefficient_memo((2, 1), (2, 1), (4, 2)) == lr_coefficient(
-        (2, 1), (2, 1), (4, 2)
-    )
-    clear_cache()
-
-
-def test_memo_guard_cases_skip_cache():
-    clear_cache()
-    assert lr_coefficient_memo((1,), (1,), (3,)) == 0
-    assert lr_coefficient_memo((2, 2), (1,), (3, 1, 1)) == 0
-    assert lr._shared_cache == {}
-
-
-def test_full_store_drops_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(lr, "_cap", 2)
-    clear_cache()
-    shapes = [((3, 2, 1), (2, 1)), ((2, 2), (1,)), ((3, 1), (1,))]
-    values = [skew_expansion(outer, inner) for outer, inner in shapes]
-    assert list(lr._shared_cache) == [(Partition(o), Partition(i)) for o, i in shapes[1:]]
-    for (outer, inner), value in zip(shapes, values):
-        assert value == nonzero_coefficients(inner, outer, sum(outer) - sum(inner))
-    clear_cache()
-
-
-def test_concurrent_inserts_keep_the_cap(monkeypatch):
-    monkeypatch.setattr(lr, "_cap", 16)
-    clear_cache()
-
-    def insert(thread):
-        for i in range(2000):
-            lr._store(("stress", thread, i), i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for future in [pool.submit(insert, t) for t in range(8)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(lr._shared_cache) == 16
-    clear_cache()
-
-
-def test_clear_cache_reaches_every_memo():
-    clear_cache()
-    nl_coefficient((3, 2, 1), (2, 1), (3, 2))
-    tensor_decompose((2, 1), (2, 1), GroupSpec("C", 3))
-    assert lr._shared_cache
-    for key in lr._shared_cache:  # LR triples and (outer, inner) expansions only
-        assert len(key) in (2, 3) and all(isinstance(p, Partition) for p in key), key
-    clear_cache()
-    assert lr._shared_cache == {}
+    assert [f.cache_info() for f in caches] == before
 
 
 # --- skew expansions ---
@@ -315,25 +191,14 @@ def test_skew_expansion_terms_come_in_reverse_lex_order():
         assert terms == sorted(terms, reverse=True), (outer, inner)
 
 
-def test_clear_cache_drops_expansions():
-    clear_cache()
+def test_skew_expansion_is_a_fresh_dict():
+    """Each call searches again and returns its own dict, so changing one
+    answer changes no later one."""
     expansion = skew_expansion((3, 2, 1), (2, 1))
-    assert expansion == {
-        Partition((3,)): 1, Partition((2, 1)): 2, Partition((1, 1, 1)): 1,
-    }
-    with pytest.raises(TypeError):
-        expansion[Partition((3,))] = 5  # the memoized value is read-only
-    assert (Partition((3, 2, 1)), Partition((2, 1))) in lr._shared_cache
-    clear_cache()
-    assert lr._shared_cache == {}
-
-
-def test_zero_cap_stores_no_expansion(monkeypatch):
-    monkeypatch.setattr(lr, "_cap", 0)
-    clear_cache()
-    assert skew_expansion((2, 2), (1,)) == {Partition((2, 1)): 1}
-    assert nl_coefficient((2, 2), (2, 2), (2, 2)) == 2
-    assert lr._shared_cache == {}
+    expansion[Partition((3,))] = 5
+    again = skew_expansion((3, 2, 1), (2, 1))
+    assert again is not expansion
+    assert again == {Partition((3,)): 1, Partition((2, 1)): 2, Partition((1, 1, 1)): 1}
 
 
 # --- checked arithmetic ---
@@ -361,10 +226,7 @@ def test_sum_is_checked_once_at_the_end(monkeypatch, compute, value):
     """Every expansion coefficient and LR value involved is 1, so only the
     returned sum can leave a cap of value - 1."""
     monkeypatch.setattr(lr, "INT64_MAX", value - 1)
-    clear_cache()
     with pytest.raises(OverflowError):
         compute()
     monkeypatch.setattr(lr, "INT64_MAX", value)
-    clear_cache()
     assert compute() == value
-    clear_cache()

@@ -1,6 +1,9 @@
 """Triple-sum coefficients, their symmetries, and tensor product
 decomposition for the three classical families."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from oracles import brute_nl, gen_partitions
 from tensorcube import (
     GroupSpec,
     Partition,
+    detects,
     enumerate_partitions,
     lr,
     lr_coefficient,
@@ -154,29 +158,79 @@ def test_support_sum_reproduces_coefficient():
 
 
 def test_one_search_per_expansion_per_call(monkeypatch):
-    """Each nu/beta expansion is searched once per call, not once per alpha
-    that reaches beta: with the store off, the searches are two per alpha
-    and one per distinct beta, for the count and the support listing
-    alike."""
+    """Each expansion is searched once per call, not once per alpha or beta
+    that reaches it: for the cube of the staircase, where all three labels
+    are one shape, that is one search per distinct inner shape among the
+    alphas and the betas, for the count and the support listing alike; a
+    second identical call keeps nothing from the first and searches as
+    often again."""
     lam = Partition((4, 3, 2, 1))
     alphas = partitions_inside(lam, lam.size // 2)
     betas = {beta for alpha in alphas for beta in lr.skew_expansion(lam, alpha)}
-    searches = []
+    expected = sorted(set(alphas) | betas)
+    searched = []
 
-    def counted(*args):
-        searches.append(args)
-        return search(*args)
+    def counted(outer, inner, *args):
+        searched.append(Partition(inner))
+        assert outer == lam
+        return search(outer, inner, *args)
 
     search = tableaux._search
-    lr.clear_cache()
-    monkeypatch.setattr(lr, "_cap", 0)
     monkeypatch.setattr(tableaux, "_search", counted)
-    assert nl_coefficient(lam, lam, lam) == 324
-    assert 2 * len(alphas) + len(betas) == 15
-    assert len(searches) <= 15
-    searches.clear()
+    for _ in range(2):
+        searched.clear()
+        assert nl_coefficient(lam, lam, lam) == 324
+        assert sorted(searched) == expected
+    searched.clear()
     assert len(nl_sum_support(lam, lam, lam)) == 81
-    assert len(searches) <= 15
+    assert sorted(searched) == expected
+
+
+def test_full_sum_counts_each_triple_once_per_call(monkeypatch):
+    """One nl_coefficient_full call counts each unordered LR triple at most
+    once, whichever order of the lower shapes reaches it; a second call
+    counts them all again."""
+    searched = []
+
+    def record(shape, cont):
+        searched.append((shape.outer, shape.inner, Partition(cont)))
+        return count_lr_fillings(shape, cont)
+
+    count_lr_fillings = lr.count_lr_fillings
+    monkeypatch.setattr(lr, "count_lr_fillings", record)
+    for lam, mu, nu in [((3, 2, 1),) * 3, ((2, 2), (2, 1, 1), (3, 1)), ((4, 2), (3, 1), (2,))]:
+        calls = []
+        for _ in range(2):
+            searched.clear()
+            value = nl_coefficient_full(lam, mu, nu)
+            assert value == nl_coefficient(lam, mu, nu)
+            assert len(set(searched)) == len(searched) > 0, (lam, mu, nu)
+            calls.append(sorted(searched))
+        assert calls[0] == calls[1]
+
+
+def test_threads_share_no_state():
+    """Eight threads running detects and nl_coefficient over one list of
+    weights, each from its own starting point and with frequent switches,
+    get the serial answers."""
+    weights = [p for n in range(2, 11) for p in all_partitions(n)]
+
+    def answers(start):
+        order = weights[start:] + weights[:start]
+        found = {lam: (detects(lam), nl_coefficient(lam, lam, (2, 1, 1)))
+                 for lam in order}
+        return [found[lam] for lam in weights]
+
+    serial = answers(0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(answers, 7 * t) for t in range(8)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == serial for result in results)
 
 
 def test_support_empty_when_sizes_cannot_balance():
@@ -358,7 +412,7 @@ def test_stable_decompositions_match_brute_force_oracle():
 
 
 def old_route(lam, mu, group):
-    """Reference decomposition through the public, memoized expansions: the
+    """Reference decomposition through the public expansions: the
     sum over alpha of the expansion of the disconnected shape (lam/alpha
     shifted right past mu's first row, above mu/alpha) with all its letters,
     keeping the terms that fit the rank, in (size, weight) descending order."""
@@ -398,8 +452,8 @@ def test_decomposition_matches_the_stored_expansion_route():
 
 def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
     """One content-free search per alpha inside the meet (the 42 partitions
-    inside the staircase), all tallied together; the shared store is left
-    as it was."""
+    inside the staircase), all tallied together; a second decomposition
+    keeps nothing from the first and searches as often again."""
     lam = Partition((4, 3, 2, 1))
     searches = []
 
@@ -409,14 +463,11 @@ def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
 
     search = tableaux._search
     monkeypatch.setattr(tableaux, "_search", counted)
-    lr.clear_cache()
-    nl_coefficient((2, 1), (2, 1), (2, 1, 1))
-    before = dict(lr._shared_cache)
-    del searches[:]
-    res = tensor_decompose(lam, lam, GroupSpec("C", 8))
-    assert len(searches) == 42
-    assert dict(lr._shared_cache) == before
-    assert res.stable and sum(res.terms.values()) > 0
+    for _ in range(2):
+        del searches[:]
+        res = tensor_decompose(lam, lam, GroupSpec("C", 8))
+        assert len(searches) == 42
+        assert res.stable and sum(res.terms.values()) > 0
 
 
 def test_decomposition_and_expansions_build_no_skew_shape(monkeypatch):
@@ -431,7 +482,6 @@ def test_decomposition_and_expansions_build_no_skew_shape(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(tableaux.SkewShape, "__init__", counted)
-    lr.clear_cache()
     lam = Partition((4, 3, 2, 1))
     assert tensor_decompose(lam, lam, GroupSpec("C", 8)).stable
     assert lr.skew_expansion(lam, (2, 1))[Partition((3, 2, 1, 1))] == 2

@@ -17,6 +17,7 @@ from tensorcube import (
     is_lattice,
     is_lr_tableau,
     is_semistandard,
+    tableaux,
 )
 from tensorcube.tableaux import (
     ascii_diagram,
@@ -286,6 +287,22 @@ def test_ascii_diagram_golden(datadir):
 
 def test_shape_diagram():
     assert shape_diagram(SkewShape((3, 1), (1,))) == ". # #\n#"
+
+
+def test_diagrams_draw_up_to_their_bound(monkeypatch):
+    """A diagram of exactly the bound's cells, inner boxes included, draws;
+    one cell more is refused with the count and the bound."""
+    monkeypatch.setattr(tableaux, "_MAX_DIAGRAM_CELLS", 4)
+    at = SkewTableau(SkewShape((3, 1), (1,)), [(1, 1), (2,)])
+    past = SkewTableau(SkewShape((3, 2), (1,)), [(1, 1), (2, 2)])
+    assert shape_diagram(at.shape) == ". # #\n#"
+    assert ascii_diagram(at) == ". 1 1\n2"
+    assert tableau_json(at)["rows"] == [[None, 1, 1], [2]]
+    for draw, arg in ((shape_diagram, past.shape), (ascii_diagram, past),
+                      (tableau_json, past)):
+        with pytest.raises(ValueError, match="^a diagram of 5 cells is past the drawing "
+                                             "bound of 4 cells$"):
+            draw(arg)
 
 
 def test_tableau_json_shape():
