@@ -173,7 +173,7 @@ def _search_witness(lam: Partition) -> WitnessTriple:
     order, certified as any witness is but labelled "fallback"; used when a
     family recipe degenerates."""
     for alpha, beta, gamma, *_ in _triangles(lam, lam, lam):
-        return replace(_witness(lam, alpha, beta, gamma), path="fallback")
+        return replace(_witness(lam, alpha, Partition(beta), Partition(gamma)), path="fallback")
     raise RuntimeError(f"no witness triangle exists for ({render(lam)})")
 
 

@@ -11,18 +11,18 @@ polynomial arithmetic so the test suite can cross-validate.
 Values are exact non-negative integers, and the arithmetic refuses to
 leave signed 64-bit range instead of growing silently.
 
-Nothing here is memoized. Every value one Newell-Littlewood sum reads has
-one of its three labels as the outer shape, so no value is reused from one
-weight to the next; the sums in ``newell_littlewood`` keep their own memos,
-which end with the call.
+Nothing here outlives a call. Every value one Newell-Littlewood sum reads
+has one of its three labels as the outer shape, so no value is reused from
+one weight to the next: a sum keeps one ``_Expansions`` per label, which
+plans the label once, searches each inner shape once and ends with the sum.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .partitions import Partition, contains
-from .tableaux import SkewShape, _tally, count_lr_fillings
+from .partitions import Partition, _inside, contains
+from .tableaux import SkewShape, _Plan, _tally, count_lr_fillings
 
 INT64_MAX = 2**63 - 1
 
@@ -60,15 +60,48 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     return checked(count_lr_fillings(SkewShape(nu, large), small))
 
 
-def _expand(shapes: Iterable[tuple], nletters: int) -> dict[Partition, int]:
-    """The contents of the lattice fillings of every (outer, inner) shape
-    with letters 1..nletters, with checked multiplicities, degrees
-    descending and reverse-lex within each degree (the sentinel leads each
-    key, and weights of one size compare as their zero-padded counts do)."""
-    # counts[1:] is weakly decreasing (a lattice word's content), so its
-    # zeros are a suffix: one slice drops them with the sentinel
-    return {Partition(found[1:found.index(0) if found[-1] == 0 else len(found)]): checked(n)
-            for found, n in sorted(_tally(shapes, nletters, True).items(), reverse=True)}
+def _terms(pairs: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
+    """Lattice tally entries as expansion terms keyed by plain tuples, in
+    the order given. Checking the largest multiplicity checks them all."""
+    terms = {}
+    for found, n in pairs:
+        # counts[1:] is weakly decreasing (a lattice word's content), so its
+        # zeros are a suffix: one slice drops them with the sentinel
+        terms[found[1:found.index(0) if found[-1] == 0 else None]] = n
+    if terms:
+        checked(max(terms.values()))
+    return terms
+
+
+def _expand(outer: tuple, inners: Iterable[tuple], nletters: int) -> dict[Partition, int]:
+    """The contents of the lattice fillings of outer/inner over the inner
+    shapes, on one plan of ``outer`` with letters 1..nletters, keyed by
+    partitions, degrees descending and reverse-lex within each degree (the
+    sentinel leads each tally key, and weights of one size compare as their
+    zero-padded counts do)."""
+    tally = _tally(_Plan(outer, nletters, True), inners)
+    return {Partition(beta): n for beta, n in _terms(sorted(tally.items(), reverse=True)).items()}
+
+
+class _Expansions(dict):
+    """s_{outer/inner} by inner shape: ``self[inner]``, for a plain
+    partition ``inner``, is keyed by plain tuples in the order the search
+    first meets them, and empty when the inner shape does not fit. Each
+    inner shape is searched on first use, all on one plan of ``outer``, and
+    both end with the object."""
+
+    __slots__ = ("outer", "plan")
+
+    def __init__(self, outer: tuple):
+        super().__init__()
+        self.outer = outer
+        # row i of a lattice filling uses letters up to i + 1 only
+        self.plan = _Plan(outer, len(outer), True)
+
+    def __missing__(self, inner: tuple) -> dict[tuple, int]:
+        found = self[inner] = (_terms(_tally(self.plan, [inner]).items())
+                               if _inside(inner, self.outer) else {})
+        return found
 
 
 def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> dict[Partition, int]:
@@ -77,8 +110,7 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> dict[Partition
     dict on every call, its terms in reverse-lex order."""
     outer, inner = Partition(outer), Partition(inner)
     # row i of a lattice filling uses letters up to i + 1 only
-    shapes = [(outer, inner)] if contains(inner, outer) else []
-    return _expand(shapes, len(outer))
+    return _expand(outer, [inner] if contains(inner, outer) else [], len(outer))
 
 
 def clear_cache() -> None:

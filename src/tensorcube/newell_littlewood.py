@@ -6,12 +6,17 @@ c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles. One walk over
 alpha and the terms beta of s_{lam/alpha} serves the count, the support
 listing and the witness search: the count adds the first factor times the
 dot product of s_{mu/alpha} with s_{nu/beta} without listing the triangles,
-and the listing joins the two expansions on gamma. The stable
+and the listing joins the two expansions on gamma. The walk plans each
+distinct label once for all the inner shapes its expansions reach, and
+keys the expansions by plain tuples; partitions are built only for the
+triangles that leave the module. The count takes each dot product once,
+and runs on the conjugate labels when they have fewer rows. The stable
 decomposition is the same sum as symmetric functions, the sum over alpha of
-s_{lam/alpha} * s_{mu/alpha}: one disconnected shape per alpha, letters
-capped at the rank, all read as one expansion by the routine that builds
-the skew expansions, and not memoized. The sums memoize only within one
-call, so nothing they keep outlives it.
+s_{lam/alpha} * s_{mu/alpha}: one disconnected outer shape, planned once,
+with one inner shape per alpha, letters capped at the rank, all read as
+one expansion by the routine that builds the skew expansions, and not
+memoized. The sums memoize only within one call, so nothing they keep
+outlives it.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lr import _expand, _smaller_first, checked, lr_coefficient, skew_expansion
+from .lr import _Expansions, _expand, _smaller_first, checked, lr_coefficient
 from .partitions import Partition, _Record, _set, partitions_inside, render
 
 
@@ -30,37 +35,49 @@ def _meet(lam: Partition, mu: Partition) -> Partition:
 
 
 def _walk(lam: Partition, mu: Partition, nu: Partition):
-    """The triple sum's outer loops: (alpha, beta, c_ab, s_{mu/alpha},
-    s_{nu/beta}) over alpha of the forced size inside lam and mu and the terms
-    beta of s_{lam/alpha}, in reverse-lex order; nothing when the total size
-    is odd or the forced sizes go negative. Each expansion is searched once
-    per walk, into a memo keyed (outer, inner) that ends with the walk."""
+    """The triple sum's outer loop: (alpha, s_{mu/alpha}, s_{lam/alpha},
+    s_{nu/.}) over alpha of the forced size inside lam and mu, in
+    reverse-lex order, where the terms beta of s_{lam/alpha} make the inner
+    loop and s_{nu/.}[beta] is s_{nu/beta}; nothing when the total size is
+    odd or the forced sizes go negative. The expansions are keyed by plain
+    tuples, betas included, in the order their search first meets them.
+    Each distinct label is planned once and each expansion searched once
+    per walk; both end with the walk."""
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
-    memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-
-    def expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
-        found = memo.get((outer, inner))
-        if found is None:
-            found = memo[outer, inner] = skew_expansion(outer, inner)
-        return found
-
+    by_label: dict[tuple, _Expansions] = {}
+    for shape in (lam, mu, nu):
+        if shape not in by_label:
+            by_label[shape] = _Expansions(shape)
+    from_lam, from_mu, from_nu = by_label[lam], by_label[mu], by_label[nu]
     for alpha in partitions_inside(_meet(lam, mu), twice // 2):
-        left = expansion(mu, alpha)
-        for beta, cab in expansion(lam, alpha).items():
-            yield alpha, beta, cab, left, expansion(nu, beta)
+        yield alpha, from_mu[alpha], from_lam[alpha], from_nu
 
 
 def _triangles(lam: Partition, mu: Partition, nu: Partition):
     """Every triangle (alpha, beta, gamma) with all three factors positive,
     as (alpha, beta, gamma, c_ab, c_ag, c_bg), in reverse-lex nesting order:
-    the terms gamma of s_{mu/alpha} that s_{nu/beta} shares, over the walk."""
-    for alpha, beta, cab, left, right in _walk(lam, mu, nu):
-        for gamma, cag in left.items():
-            cbg = right.get(gamma)
-            if cbg:
-                yield alpha, beta, gamma, cab, cag, cbg
+    the terms gamma of s_{mu/alpha} that s_{nu/beta} shares, over the walk.
+    Beta and gamma are plain tuples."""
+    for alpha, left, betas, from_nu in _walk(lam, mu, nu):
+        gammas = sorted(left.items(), reverse=True)
+        for beta, cab in sorted(betas.items(), reverse=True):
+            right = from_nu[beta]
+            for gamma, cag in gammas:
+                cbg = right.get(gamma)
+                if cbg:
+                    yield alpha, beta, gamma, cab, cag, cbg
+
+
+def _dot(left: dict[tuple, int], right: dict[tuple, int]) -> int:
+    """The dot product of two expansions, looping over the shorter."""
+    short, long = (left, right) if len(left) <= len(right) else (right, left)
+    get = long.get
+    dot = 0
+    for gamma, c in short.items():
+        dot += c * get(gamma, 0)
+    return dot
 
 
 def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -68,16 +85,32 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
 
     Counts without listing the triangles: over the walk it adds c_ab times
     the dot product of s_{mu/alpha} with s_{nu/beta}, looping over the
-    shorter expansion, and searches each expansion once per call. Returns
-    0 immediately when the total size is odd; the shortcut agrees with the
-    full sum (the suite confirms this by running the sum without it, see
+    shorter expansion, and takes each dot product once per call, whichever
+    of the two expansions comes first (with mu = nu, as in a self-pairing,
+    most come twice). The constant is that of the conjugate labels, so it
+    counts on the conjugate side when that side has fewer rows in total,
+    where the searches use fewer letters. Returns 0 immediately when the
+    total size is odd; the shortcut agrees with the full sum (the suite
+    confirms this by running the sum without it, see
     :func:`nl_coefficient_full`). Every term is positive, so one check of
     the total refuses exactly the sums that leave 64-bit range."""
+    labels = (Partition(lam), Partition(mu), Partition(nu))
+    if sum(p[0] for p in labels if p) < sum(map(len, labels)):
+        labels = tuple(p.conjugate() for p in labels)
+    # every expansion stays in the walk's memo for the whole call, so its
+    # id names it
+    dots: dict[tuple[int, int], int] = {}
     total = 0
-    for _, _, cab, left, right in _walk(Partition(lam), Partition(mu), Partition(nu)):
-        short, long = (left, right) if len(left) <= len(right) else (right, left)
-        get = long.get
-        total += cab * sum([c * get(gamma, 0) for gamma, c in short.items()])
+    for _, left, betas, from_nu in _walk(*labels):
+        a = id(left)
+        for beta, cab in betas.items():
+            right = from_nu[beta]
+            b = id(right)
+            key = (a, b) if a < b else (b, a)
+            dot = dots.get(key)
+            if dot is None:
+                dot = dots[key] = _dot(left, right)
+            total += cab * dot
     return checked(total)
 
 
@@ -125,7 +158,8 @@ def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
     """The triangles (alpha, beta, gamma) with all three factors positive, in
     deterministic reverse-lex nesting order, off the same walk as the count;
     empty when the forced sizes go negative or the total size is odd."""
-    return [(a, b, g) for a, b, g, *_ in _triangles(Partition(lam), Partition(mu), Partition(nu))]
+    return [(a, Partition(b), Partition(g))
+            for a, b, g, *_ in _triangles(Partition(lam), Partition(mu), Partition(nu))]
 
 
 _FAMILIES = ("B", "C", "D")
@@ -198,11 +232,12 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     when ``stable`` is true (for C2, (1,1) x (1,1) has dimension 25, the
     terms add up to 30).
 
-    Each alpha's product is one content-free search of a disconnected
-    shape, and every filling of every search goes into one tally for the
-    whole product, so nothing is memoized. The search has at most ``rank``
-    letters, so the weights the rank filter would drop are never found.
-    Each multiplicity is checked once against 64-bit range."""
+    Each alpha's product is one content-free walk of a disconnected shape,
+    the same outer shape for every alpha and planned once, and every
+    filling of every walk goes into one tally for the whole product, so
+    nothing is memoized. The search has at most ``rank`` letters, so the
+    weights the rank filter would drop are never found. The multiplicities
+    are checked against 64-bit range through the largest of them."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
     for name, p in (("lambda", lam), ("mu", mu)):
@@ -218,14 +253,14 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     # shifted right past mu's first row (alpha fits in mu, so the inner shape
     # is a partition) above mu/alpha; the blocks share no row and no column.
     w = mu[0] if mu else 0
-    outer = [part + w for part in lam] + list(mu)
-    shapes = ((outer, [part + w for part in alpha] + [w] * (len(lam) - len(alpha)) + list(alpha))
+    outer = tuple(part + w for part in lam) + mu
+    inners = (tuple(part + w for part in alpha) + (w,) * (len(lam) - len(alpha)) + alpha
               for asize in range(meet.size + 1) for alpha in partitions_inside(meet, asize))
     # A weight of length at most n is exactly the content of a filling with
     # letters 1..n, so capping the letters is the rank filter. The exact
     # decomposition below the stable range (King's modification rules) needs
     # the long terms too, and will search with len(outer) letters instead.
-    ordered = _expand(shapes, min(n, len(outer))).items()
+    ordered = _expand(outer, inners, min(n, len(outer))).items()
     aside = group.family == "D"
     terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}
     inadmissible = {nu: m for nu, m in ordered if aside and len(nu) == n}

@@ -8,6 +8,7 @@ stripped at construction) and hash like plain tuples.
 from __future__ import annotations
 
 import itertools
+from operator import le
 from typing import Iterable, Union
 
 ENUMERATION_LIMIT = 64
@@ -58,9 +59,13 @@ class Partition(tuple):
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram so that rows become columns."""
-        if not self:
-            return Partition()
-        return Partition(sum(1 for p in self if p >= j) for j in range(1, self[0] + 1))
+        parts = []
+        rows = len(self)
+        for j in range(self[0] if self else 0):
+            while self[rows - 1] <= j:  # the rows that reach column j
+                rows -= 1
+            parts.append(rows)
+        return Partition(parts)
 
 
 def parse(text: str) -> Partition:
@@ -105,11 +110,13 @@ def render(partition: Iterable[int]) -> str:
 
 def contains(inner: Iterable[int], outer: Iterable[int]) -> bool:
     """True iff the diagram of ``inner`` sits inside the diagram of ``outer``."""
-    inner = Partition(inner)
-    outer = Partition(outer)
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return _inside(Partition(inner), Partition(outer))
+
+
+def _inside(inner: tuple, outer: tuple) -> bool:
+    """:func:`contains` for two shapes that are already partitions, plain
+    tuples included, taken as they are."""
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 class _Record:
@@ -247,7 +254,7 @@ def partitions_inside(bound: Iterable[int], size: int) -> list[Partition]:
 
     def descend(i: int, remaining: int, largest: int, prefix: tuple) -> None:
         if remaining == 0:
-            found.append(Partition(prefix))
+            found.append(tuple.__new__(Partition, prefix))  # valid by construction
             return
         if i == len(bound):
             return

@@ -3,23 +3,30 @@ lattice-word conditions, and backtracking enumeration of fillings.
 
 The search core fills boxes top to bottom and right to left within each row,
 which is exactly the reading-word order: the lattice condition becomes a
-prefix property and prunes the search as early as possible. It plans each box
-once per search (its flat cell, its upper and right neighbours, and a letter
-cap from the skew boxes below it in its column), then backtracks over one
-flat list of entries, so fillings come out in lexicographic order of the
-reading word. The same core, with the quota and lattice checks switched off,
-enumerates plain semistandard fillings (used by the polynomial cross-check).
+prefix property and prunes the search as early as possible. It comes in two
+parts. A plan of one outer shape holds each box once (its cell, its upper
+and right neighbours, and a letter cap from the boxes below it in its
+column), planned only as far as the inner shapes asked about reach, so one
+plan serves every inner shape of a call. A walk then backtracks over one
+inner shape's boxes, so fillings come out in lexicographic order of the
+reading word, and tallies each filling's content inside its loop. The same
+core, with the quota and lattice checks switched off, enumerates plain
+semistandard fillings (used by the polynomial cross-check).
 
-The core is private to this module and takes plain partitions that its
+The core is private to the package and takes plain partitions that its
 callers have already checked. Its three leaf kinds each run it and return
 the answer: a count (LR and Kostka numbers), one content tally over many
-shapes (skew-Schur expansions, decompositions, content histograms) and the
-tableaux, whose row cut also shapes the detection module's greedy fillings.
+inner shapes of one outer shape (skew-Schur expansions, decompositions,
+content histograms) and the tableaux, whose row cut also shapes the
+detection module's greedy fillings.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
+from itertools import chain
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, _Record, _set, contains, render
@@ -142,86 +149,160 @@ def is_lr_tableau(tableau: SkewTableau) -> bool:
     return is_semistandard(tableau) and is_lattice(word(tableau))
 
 
-def _search(outer: Sequence[int], inner: Sequence[int], nletters: int,
-            quota: Sequence[int] | None, lattice: bool, on_leaf: Callable) -> None:
-    """Backtracking core over the reading-word box order of outer/inner,
-    plain partitions that the caller has checked, calling
-    ``on_leaf(fill, counts)`` once per filling, in lexicographic order of
-    the reading word.
+# The index in ``fill`` of the first cell: fill[0] = 0 stands for "no box
+# above", fill[1] = nletters for "no right neighbour".
+_FIRST = 2
 
-    ``fill`` holds the entries in one flat row-major list, skew boxes only,
-    followed by two sentinel cells: ``fill[-2] = 0`` stands for "no box
-    above" and ``fill[-1] = nletters`` for "no right neighbour".
+
+class _Plan:
+    """The boxes of one outer shape, planned for the search once per call
+    for all the inner shapes it is asked about, and only as far as they
+    reach.
+
+    Each box is planned once as ``(cell, above, right, cap)``: its index in
+    ``fill``, the indices of its upper and right neighbours, and its largest
+    possible letter, ``nletters`` minus the number of boxes below it in its
+    column. The cap is sound because column strictness gives those boxes
+    strictly larger letters, all at most ``nletters``; a larger letter here
+    has no completion, so no leaf is lost and the leaf order is unchanged.
+    With ``lattice`` the cap of row i is at most i + 1 as well: the row's
+    largest entry is read right after rows 0..i-1, which hold letters up to
+    i only, so a lattice word allows it at most i + 1. None of the four
+    depends on the inner shape: a planned box that an inner shape covers
+    holds 0 during that walk, as the sentinel for "no box above" does, and
+    a box's right neighbour is a skew box whenever the box is one.
+
+    ``rows[i]`` holds row ``i``'s planned boxes right to left, so an inner
+    shape's boxes in reading order are a prefix of each row, and
+    ``reach[i]`` is its leftmost planned column. A row is extended to the
+    left when an inner shape first reaches further, so the plan's memory
+    follows the skew boxes searched, never ``|outer|``; the cells of the
+    first inner shape are its skew boxes row-major, from ``_FIRST`` on."""
+
+    __slots__ = ("outer", "size", "nletters", "lattice", "rows", "reach", "cells")
+
+    def __init__(self, outer: Sequence[int], nletters: int, lattice: bool):
+        self.outer = outer
+        self.size = sum(outer)
+        self.nletters = nletters
+        self.lattice = lattice
+        self.rows: list[list[tuple]] = [[] for _ in outer]
+        self.reach = list(outer)
+        self.cells = _FIRST  # the length of ``fill``
+
+    def boxes(self, inner: Sequence[int]) -> list[tuple]:
+        """The boxes of outer/inner in reading order, planning the ones no
+        earlier inner shape reached."""
+        inner = tuple(inner) + (0,) * (len(self.outer) - len(inner))
+        if self.cells == _FIRST:  # nothing planned yet: the rows become inner's boxes
+            self._extend(inner)
+            return list(chain.from_iterable(self.rows))
+        if any(map(lt, inner, self.reach)):
+            self._extend(inner)
+        found: list[tuple] = []
+        for row, hi, lo in zip(self.rows, self.outer, inner):
+            found += row[:hi - lo]
+        return found
+
+    def _extend(self, inner: tuple) -> None:
+        """Plan every row down to the column where ``inner`` ends it."""
+        outer, rows, reach, nletters = self.outer, self.rows, self.reach, self.nletters
+        lattice, cells, fresh = self.lattice, self.cells, self.cells == _FIRST
+        steps = [-part for part in outer]  # ascending, for bisect
+        # the row above has planned columns [up_lo, up_hi); none above row 0
+        up: list[tuple] = []
+        up_lo = up_hi = outer[0] if outer else 0
+        for i, (row, hi, lo, cur) in enumerate(zip(rows, outer, inner, reach)):
+            if lo < cur:  # plan the columns cur - 1 down to lo
+                base = cells - lo  # the cell of column j is base + j
+                cells += cur - lo
+                reach[i] = lo
+                right = row[-1][0] if row else 1
+                split = cur if cur < up_lo else up_lo if up_lo > lo else lo
+                for j in range(cur - 1, split - 1, -1):
+                    # under a planned box, whose column has one box more
+                    cell, _, _, cap = up[up_hi - 1 - j]
+                    row.append((base + j, cell, right, cap + 1))
+                    right = base + j
+                top = i + 1 if lattice else nletters
+                for j in range(split - 1, lo - 1, -1):
+                    # no planned box above: count the rows that reach column j
+                    cap = nletters + 1 + i - bisect_left(steps, -j)
+                    row.append((base + j, 0, right, top if cap > top else cap))
+                    right = base + j
+                if not fresh and i + 1 < len(rows) and rows[i + 1]:
+                    # the planned boxes under the new ones now have a box above
+                    down, down_hi = rows[i + 1], outer[i + 1]
+                    for j in range(max(lo, reach[i + 1]), min(cur, down_hi)):
+                        cell, _, beside, cap = down[down_hi - 1 - j]
+                        down[down_hi - 1 - j] = (cell, base + j, beside, cap)
+            up, up_lo, up_hi = row, reach[i], hi
+        self.cells = cells
+
+
+def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
+          tally: dict | None, on_leaf: Callable | None = None) -> None:
+    """Backtracking core: every filling of plan.outer/inner, a plain
+    partition that the caller has checked, in the reading-word box order
+    and in lexicographic order of the reading word. Each filling's content
+    goes into ``tally``, keyed by ``tuple(counts)`` (see below), or, given
+    ``on_leaf``, that is called as ``on_leaf(fill, counts)`` instead.
+
+    ``fill`` holds the entries in the plan's cells (see :class:`_Plan`).
     ``counts[x]`` tallies the letter ``x``; it doubles as the lattice prefix
     tally because boxes are filled in reading order, and ``counts[0]`` is a
-    sentinel larger than any tally, so the letter 1 always passes; only
-    ``counts[1:]`` are tallies. Both lists are reused between leaves, so
-    ``on_leaf`` copies what it keeps.
+    sentinel ``size + 1``, larger than any tally, so the letter 1 always
+    passes; only ``counts[1:]`` are tallies. Both lists are reused between
+    leaves, so ``on_leaf`` copies what it keeps.
 
     ``quota`` fixes the per-letter box counts (None leaves them free, as a
     quota of ``size + 1`` that no tally reaches), and a quota whose total is
-    not the box count has no filling; without ``lattice`` the lattice test
-    compares against a row of such ceilings instead.
-
-    Each box is planned once as ``(cell, above, right, cap)``: its index in
-    ``fill``, the indices of its upper and right neighbours (or a sentinel),
-    and its largest possible letter, ``nletters`` minus the number of skew
-    boxes below it in its column. The cap is sound because column
-    strictness gives those boxes strictly larger letters, all at most
-    ``nletters``; a larger letter here has no completion, so no leaf is
-    lost and the leaf order is unchanged.
+    not the box count has no filling; on a plan without ``lattice`` the
+    lattice test compares against a row of such ceilings instead.
 
     The search recurses once per box, so a shape with more boxes than the
     interpreter's recursion limit, less a margin for the caller's own
     frames, is refused with a ValueError before anything is planned.
     """
-    size = sum(outer) - sum(inner)
+    size = plan.size - sum(inner)
     if quota is not None and sum(quota) != size:
         return
     budget = sys.getrecursionlimit() - 100
     if size > budget:
         raise ValueError(f"the tableau search would fill {size} boxes, "
                          f"more than its depth budget of {budget}")
-    foot = [0] * (outer[0] if outer else 0)
-    j = 0
-    for i in range(len(outer) - 1, -1, -1):
-        while j < outer[i]:
-            foot[j] = i  # the lowest row of column j
-            j += 1
-    plan = []
-    start = 0
-    above_lo = above_start = len(foot)  # row 0 has no row above it
-    for i, hi in enumerate(outer):
-        lo = inner[i] if i < len(inner) else 0
-        for j in range(hi - 1, lo - 1, -1):
-            cell = start + j - lo
-            plan.append((cell, above_start + j - above_lo if j >= above_lo else -2,
-                         cell + 1 if j + 1 < hi else -1, nletters - foot[j] + i))
-        above_lo, above_start = lo, start
-        start += hi - lo
-    fill = [0] * (size + 2)
-    fill[-1] = nletters
+    boxes = plan.boxes(inner)
+    nletters = plan.nletters
+    fill = [0] * plan.cells
+    fill[1] = nletters
     counts = [size + 1] + [0] * nletters
     ceiling = [0, *quota] if quota is not None else [size + 1] * (nletters + 1)
-    bar = counts if lattice else [size + 1] * (nletters + 1)
+    bar = counts if plan.lattice else [size + 1] * (nletters + 1)
     last = size - 1
+    get = tally.get if on_leaf is None else None
 
     def place(k: int) -> None:
-        cell, above, right, cap = plan[k]
+        cell, above, right, cap = boxes[k]
         top = fill[right]
         for x in range(fill[above] + 1, (top if top < cap else cap) + 1):
             c = counts[x]
             if c < ceiling[x] and bar[x - 1] > c:
                 fill[cell] = x
                 counts[x] = c + 1
-                if k == last:
-                    on_leaf(fill, counts)
-                else:
+                if k != last:
                     place(k + 1)
+                elif get is not None:
+                    found = tuple(counts)
+                    tally[found] = get(found, 0) + 1
+                else:
+                    on_leaf(fill, counts)
                 counts[x] = c
 
     if size:
         place(0)
+    elif get is not None:
+        found = tuple(counts)
+        tally[found] = get(found, 0) + 1
     else:
         on_leaf(fill, counts)
 
@@ -231,29 +312,28 @@ def _search(outer: Sequence[int], inner: Sequence[int], nletters: int,
 
 def _count(outer: Sequence[int], inner: Sequence[int], quota: Sequence[int],
            lattice: bool) -> int:
-    """Number of fillings of outer/inner with content ``quota``."""
+    """Number of fillings of outer/inner with content ``quota``. Every leaf
+    has that content, so the count takes a callback, which costs less than
+    the tally's tuple and dict update at each leaf."""
     hits = 0
 
     def bump(fill, counts):
         nonlocal hits
         hits += 1
 
-    _search(outer, inner, len(quota), quota, lattice, bump)
+    _walk(_Plan(outer, len(quota), lattice), inner, quota, None, bump)
     return hits
 
 
-def _tally(shapes: Iterable[tuple], nletters: int, lattice: bool) -> dict[tuple, int]:
-    """The content of every filling of every (outer, inner) shape with
-    letters 1..nletters, tallied into one dict keyed by ``tuple(counts)``:
-    the sentinel ``size + 1``, then the count of each letter. With one
-    letter count, equal contents share a key whatever shape they came from."""
+def _tally(plan: _Plan, inners: Iterable[Sequence[int]]) -> dict[tuple, int]:
+    """The content of every filling of plan.outer/inner, over the inner
+    shapes, with letters 1..plan.nletters, tallied into one dict keyed by
+    ``tuple(counts)``: the sentinel ``size + 1``, then the count of each
+    letter. With one letter count, equal contents share a key whatever
+    shape they came from."""
     tally: dict[tuple, int] = {}
-
-    def bump(fill, counts):
-        found = tuple(counts)
-        tally[found] = tally.get(found, 0) + 1
-    for outer, inner in shapes:
-        _search(outer, inner, nletters, None, lattice, bump)
+    for inner in inners:
+        _walk(plan, inner, None, tally)
     return tally
 
 
@@ -271,10 +351,10 @@ def _cuts(shape: SkewShape) -> list[tuple[int, int]]:
 def _collect(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
              lattice: bool) -> list[SkewTableau]:
     """Every filling of ``shape``, as tableaux in the search's order."""
-    cuts = _cuts(shape)
+    cuts = [(a + _FIRST, b + _FIRST) for a, b in _cuts(shape)]
     out: list[SkewTableau] = []
-    _search(shape.outer, shape.inner, nletters, quota, lattice,
-            lambda fill, counts: out.append(SkewTableau(shape, [fill[a:b] for a, b in cuts])))
+    _walk(_Plan(shape.outer, nletters, lattice), shape.inner, quota, None,
+          lambda fill, counts: out.append(SkewTableau(shape, [fill[a:b] for a, b in cuts])))
     return out
 
 
@@ -303,7 +383,7 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
     1..max_entry; keys are full length-``max_entry`` count vectors."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    tally = _tally([(shape.outer, shape.inner)], max_entry, False)
+    tally = _tally(_Plan(shape.outer, max_entry, False), [shape.inner])
     return {found[1:]: n for found, n in tally.items()}
 
 

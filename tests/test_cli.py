@@ -74,8 +74,8 @@ def test_lr_certificates_search_once(capsys, monkeypatch):
         searches.append(args)
         return search(*args)
 
-    search = tableaux._search
-    monkeypatch.setattr(tableaux, "_search", counted)
+    search = tableaux._walk
+    monkeypatch.setattr(tableaux, "_walk", counted)
     assert run(capsys, "lr", "3,2,1", "4,3,2,1", "6,4,4,2", "--certificates") == (0, expected)
     assert len(searches) == 1
 
@@ -198,6 +198,33 @@ def test_search_past_its_depth_budget_exits_2(capsys, argv, boxes):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: the tableau search would fill {boxes} boxes, ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lr", "10000000000", "1", "10000000001"],
+    ["nl", "10000000000", "10000000000", "2"],
+], ids=["lr", "nl"])
+def test_wide_one_box_search_answers_under_a_memory_cap(argv):
+    """A search plans only the columns that hold skew boxes, so a one-box
+    search on a shape ten billion columns wide answers within a 2 GB
+    address space."""
+    script = (
+        "import resource, sys\n"
+        "cap = 2 << 30\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    cap = min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from tensorcube.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
 
 
 def test_depth_budget_counts_the_smaller_side(capsys):

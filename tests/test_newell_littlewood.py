@@ -16,6 +16,7 @@ from tensorcube import (
     enumerate_partitions,
     lr,
     lr_coefficient,
+    newell_littlewood,
     nl_coefficient,
     nl_coefficient_full,
     nl_sum_support,
@@ -80,15 +81,38 @@ def test_parity_vanishing_via_full_sum():
 
 
 def test_full_sum_equals_shortcut():
-    for a in range(5):
-        for b in range(5):
-            for c in range(5):
-                for lam in all_partitions(a):
-                    for mu in all_partitions(b):
-                        for nu in all_partitions(c):
-                            assert nl_coefficient_full(lam, mu, nu) == nl_coefficient(
-                                lam, mu, nu
-                            )
+    """The count runs on the conjugate labels when they have fewer rows in
+    total. Both sides agree with the naive sum: every triple of sizes up to
+    4, 4 and 6 and every self-pairing of size up to 12, a grid that holds
+    triples of either kind."""
+    triples = [(lam, mu, nu) for a in range(5) for b in range(5) for c in range(7)
+               for lam in all_partitions(a) for mu in all_partitions(b)
+               for nu in all_partitions(c)]
+    triples += [(lam,) * 3 for n in range(13) for lam in all_partitions(n)]
+    fewer_rows = [sum(p[0] for p in t if p) < sum(map(len, t)) for t in triples]
+    assert 0 < sum(fewer_rows) < len(triples)
+    for lam, mu, nu in triples:
+        assert nl_coefficient(lam, mu, nu) == nl_coefficient_full(lam, mu, nu), (lam, mu, nu)
+
+
+def test_count_runs_on_the_side_with_fewer_rows(monkeypatch):
+    """A column's cube is counted as the row's; a tie in the row totals
+    keeps the labels as given, and the support listing never conjugates."""
+    walked = []
+
+    def recorded(*labels):
+        walked.append(labels)
+        return walk(*labels)
+
+    walk = newell_littlewood._walk
+    monkeypatch.setattr(newell_littlewood, "_walk", recorded)
+    column, row = Partition((1, 1, 1, 1)), Partition((4,))
+    assert nl_coefficient(column, column, column) == nl_coefficient(row, row, row) == 1
+    assert nl_coefficient((3, 1), (1, 1), (2, 2)) == 1
+    assert walked == [(row,) * 3, (row,) * 3, ((3, 1), (1, 1), (2, 2))]
+    walked.clear()
+    assert nl_sum_support(column, column, column) == [((1, 1), (1, 1), (1, 1))]
+    assert walked == [(column,) * 3]
 
 
 def test_symmetric_under_all_argument_orders():
@@ -159,31 +183,88 @@ def test_support_sum_reproduces_coefficient():
 
 def test_one_search_per_expansion_per_call(monkeypatch):
     """Each expansion is searched once per call, not once per alpha or beta
-    that reaches it: for the cube of the staircase, where all three labels
-    are one shape, that is one search per distinct inner shape among the
-    alphas and the betas, for the count and the support listing alike; a
-    second identical call keeps nothing from the first and searches as
-    often again."""
+    that reaches it, on one plan of its outer shape: for the cube of the
+    staircase, where all three labels are one shape, that is one plan and
+    one walk per distinct inner shape among the alphas and the betas, for
+    the count and the support listing alike; a second identical call keeps
+    nothing from the first and plans and searches as often again."""
     lam = Partition((4, 3, 2, 1))
     alphas = partitions_inside(lam, lam.size // 2)
     betas = {beta for alpha in alphas for beta in lr.skew_expansion(lam, alpha)}
     expected = sorted(set(alphas) | betas)
-    searched = []
+    planned, searched = [], []
 
-    def counted(outer, inner, *args):
+    def plan(self, outer, *args):
+        planned.append(outer)
+        init(self, outer, *args)
+
+    def counted(plan, inner, *args):
         searched.append(Partition(inner))
-        assert outer == lam
-        return search(outer, inner, *args)
+        assert plan.outer == lam
+        return walk(plan, inner, *args)
 
-    search = tableaux._search
-    monkeypatch.setattr(tableaux, "_search", counted)
+    init, walk = tableaux._Plan.__init__, tableaux._walk
+    monkeypatch.setattr(tableaux._Plan, "__init__", plan)
+    monkeypatch.setattr(tableaux, "_walk", counted)
     for _ in range(2):
+        planned.clear()
         searched.clear()
         assert nl_coefficient(lam, lam, lam) == 324
+        assert planned == [lam]
         assert sorted(searched) == expected
+    planned.clear()
     searched.clear()
     assert len(nl_sum_support(lam, lam, lam)) == 81
+    assert planned == [lam]
     assert sorted(searched) == expected
+
+
+def test_one_plan_per_label_and_one_walk_per_expansion(monkeypatch):
+    """With lam = nu the alphas (size 2) and the betas (size 4) are inner
+    shapes of one outer shape: it is planned once, and reaches further as
+    the betas come in; every expansion is walked once."""
+    lam, mu = Partition((3, 2, 1)), Partition((2, 2))
+    expected = nl_coefficient_full(lam, mu, lam)
+    planned, walked = [], []
+
+    def plan(self, outer, *args):
+        planned.append(outer)
+        init(self, outer, *args)
+
+    def counted(plan, inner, *args):
+        walked.append((plan.outer, tuple(inner)))
+        return walk(plan, inner, *args)
+
+    init, walk = tableaux._Plan.__init__, tableaux._walk
+    monkeypatch.setattr(tableaux._Plan, "__init__", plan)
+    monkeypatch.setattr(tableaux, "_walk", counted)
+    assert nl_coefficient(lam, mu, lam) == expected > 0
+    assert sorted(planned) == [mu, lam]
+    assert len(walked) == len(set(walked))
+    assert {len(inner) and sum(inner) for outer, inner in walked if outer == lam} == {2, 4}
+
+
+def test_each_dot_product_once_per_call(monkeypatch):
+    """With mu = nu the dot product of s_{mu/alpha} with s_{nu/beta} comes
+    up for (alpha, beta) and again for (beta, alpha): on the cube of the
+    staircase each unordered pair of expansions is dotted exactly once."""
+    lam = Partition((4, 3, 2, 1))
+    alphas = partitions_inside(lam, lam.size // 2)
+    ordered = [(alpha, beta) for alpha in alphas for beta in lr.skew_expansion(lam, alpha)]
+    pairs = {frozenset(pair) for pair in ordered}
+    assert len(pairs) < len(ordered)
+    dotted = []
+
+    def recorded(left, right):
+        dotted.append(frozenset((id(left), id(right))))
+        return dot(left, right)
+
+    dot = newell_littlewood._dot
+    monkeypatch.setattr(newell_littlewood, "_dot", recorded)
+    for _ in range(2):
+        dotted.clear()
+        assert nl_coefficient(lam, lam, lam) == 324
+        assert len(dotted) == len(set(dotted)) == len(pairs)
 
 
 def test_full_sum_counts_each_triple_once_per_call(monkeypatch):
@@ -452,21 +533,27 @@ def test_decomposition_matches_the_stored_expansion_route():
 
 def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
     """One content-free search per alpha inside the meet (the 42 partitions
-    inside the staircase), all tallied together; a second decomposition
-    keeps nothing from the first and searches as often again."""
+    inside the staircase), all on one plan of the shared outer shape and
+    tallied together; a second decomposition keeps nothing from the first
+    and plans and searches as often again."""
     lam = Partition((4, 3, 2, 1))
-    searches = []
+    planned, searches = [], []
+
+    def plan(self, outer, *args):
+        planned.append(outer)
+        init(self, outer, *args)
 
     def counted(*args):
         searches.append(args)
-        return search(*args)
+        return walk(*args)
 
-    search = tableaux._search
-    monkeypatch.setattr(tableaux, "_search", counted)
+    init, walk = tableaux._Plan.__init__, tableaux._walk
+    monkeypatch.setattr(tableaux._Plan, "__init__", plan)
+    monkeypatch.setattr(tableaux, "_walk", counted)
     for _ in range(2):
-        del searches[:]
+        del planned[:], searches[:]
         res = tensor_decompose(lam, lam, GroupSpec("C", 8))
-        assert len(searches) == 42
+        assert len(planned) == 1 and len(searches) == 42
         assert res.stable and sum(res.terms.values()) > 0
 
 
