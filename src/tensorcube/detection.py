@@ -5,9 +5,9 @@ irreducible, i.e. the self-pairing structure constant is positive. Four shape
 families guarantee detection for even sizes: all parts even; distinct odd
 parts with evenly many rows; hooks; rectangles. Each family witness is a
 triangle (alpha, beta, gamma) of half-size partitions plus three certificate
-tableaux, built by explicit greedy fillings and validated. When a degenerate
-edge makes the direct construction inapplicable, the witness is the first
-triangle of the self-pairing sum, certified by enumerated tableaux.
+tableaux, built by explicit greedy fillings and validated. Where the hook
+recipe degenerates, on the armless column (1^2k), the witness is the first
+triangle of the self-pairing sum, ((1^k), (1^k), (1^k)).
 
 The verification sweeps are exhaustive over bounded sizes: odd sizes must all
 vanish (checked through the unshortcut sum), and even sizes matching any
@@ -17,10 +17,10 @@ family must be detected with a valid witness.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .newell_littlewood import _triangles, nl_coefficient, nl_coefficient_full
+from .newell_littlewood import nl_coefficient, nl_coefficient_full
 from .partitions import (AllEven, DistinctOddEvenLength, Hook, Partition,
                          Rectangle, classify, enumerate_partitions, render)
 from .tableaux import (SkewShape, SkewTableau, _cuts, content, enumerate_lr_tableaux,
@@ -37,9 +37,9 @@ class WitnessTriple:
 
     ``certificates`` hold LR tableaux for (shape weight-alpha, content beta),
     (shape weight-beta, content gamma) and (shape weight-alpha, content
-    gamma), in that order. ``path`` records whether the direct construction
-    survived validation ("constructed") or enumeration had to step in
-    ("fallback")."""
+    gamma), in that order. ``path`` is "constructed" when the family
+    recipe's greedy fillings all validate, and "fallback" when enumeration
+    stepped in or the recipe degenerates (the hook recipe on (1^2k))."""
 
     alpha: Partition
     beta: Partition
@@ -138,8 +138,8 @@ def witness_hook(lam: Iterable[int]) -> WitnessTriple:
 
     An odd arm halves into a single smaller hook used three times. An even
     arm uses two nearby hooks; with no arm at all the middle partition
-    degenerates (its stated first part would be zero), so that edge falls
-    back to the witness search."""
+    degenerates (its stated first part would be zero), so the column (1^2k)
+    takes (1^k) three times, the first triangle of its self-pairing sum."""
     lam = Partition(lam)
     hook = _family(lam, Hook)
     a, b = hook.arm, hook.leg
@@ -147,7 +147,9 @@ def witness_hook(lam: Iterable[int]) -> WitnessTriple:
         core = Partition([1 + (a - 1) // 2] + [1] * (b // 2))
         return _witness(lam, core, core, core)
     if a == 0:
-        return _search_witness(lam)
+        column = Partition([1] * ((b + 1) // 2))
+        cert, _ = _certificate(lam, column, column)
+        return WitnessTriple(column, column, column, (cert, cert, cert), "fallback")
     alpha = Partition([1 + a // 2] + [1] * ((b - 1) // 2))
     beta = Partition([a // 2] + [1] * ((b + 1) // 2))
     return _witness(lam, alpha, beta, alpha)
@@ -166,15 +168,6 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
         return witness_all_even(lam)
     half = Partition([rect.cols] * (rect.rows // 2))
     return _witness(lam, half, half, half)
-
-
-def _search_witness(lam: Partition) -> WitnessTriple:
-    """The first triangle of the self-pairing sum, in reverse-lex nesting
-    order, certified as any witness is but labelled "fallback"; used when a
-    family recipe degenerates."""
-    for alpha, beta, gamma, *_ in _triangles(lam, lam, lam):
-        return replace(_witness(lam, alpha, Partition(beta), Partition(gamma)), path="fallback")
-    raise RuntimeError(f"no witness triangle exists for ({render(lam)})")
 
 
 _BUILDERS: tuple[tuple[type, Callable], ...] = (

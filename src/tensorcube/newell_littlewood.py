@@ -3,12 +3,13 @@ symplectic and even orthogonal families.
 
 The constant pairing three partitions sums c(alpha, beta -> lam) *
 c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles. One walk over
-alpha and the terms beta of s_{lam/alpha} serves the count, the support
-listing and the witness search: the count adds the first factor times the
-dot product of s_{mu/alpha} with s_{nu/beta} without listing the triangles,
-and the listing joins the two expansions on gamma. The walk plans each
-distinct label once for all the inner shapes its expansions reach, and
-keys the expansions by plain tuples; partitions are built only for the
+alpha and the terms beta of s_{lam/alpha} serves the count and the
+support listing: the count adds the first factor times the dot product of
+s_{mu/alpha} with s_{nu/beta} without listing the triangles, and the
+listing joins the two expansions on gamma. The walk plans each distinct
+label once for all the inner shapes of its expansions, refuses a search
+past the depth budget before listing the alphas, and keys the expansions
+by plain tuples; partitions are built only for the
 triangles that leave the module. The count takes each dot product once,
 and runs on the conjugate labels when they have fewer rows. The stable
 decomposition is the same sum as symmetric functions, the sum over alpha of
@@ -27,6 +28,7 @@ from typing import Iterable
 
 from .lr import _Expansions, _expand, _smaller_first, checked, lr_coefficient
 from .partitions import Partition, _Record, _set, partitions_inside, render
+from .tableaux import _check_depth
 
 
 def _meet(lam: Partition, mu: Partition) -> Partition:
@@ -46,12 +48,17 @@ def _walk(lam: Partition, mu: Partition, nu: Partition):
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
+    meet, size = _meet(lam, mu), twice // 2
+    if size <= meet.size:
+        # an alpha exists: refuse its first walks (mu's, then lam's) before listing
+        _check_depth(mu.size - size)
+        _check_depth(lam.size - size)
     by_label: dict[tuple, _Expansions] = {}
     for shape in (lam, mu, nu):
         if shape not in by_label:
             by_label[shape] = _Expansions(shape)
     from_lam, from_mu, from_nu = by_label[lam], by_label[mu], by_label[nu]
-    for alpha in partitions_inside(_meet(lam, mu), twice // 2):
+    for alpha in partitions_inside(meet, size):
         yield alpha, from_mu[alpha], from_lam[alpha], from_nu
 
 

@@ -252,16 +252,19 @@ def partitions_inside(bound: Iterable[int], size: int) -> list[Partition]:
     bound = Partition(bound)
     found: list[Partition] = []
 
-    def descend(i: int, remaining: int, largest: int, prefix: tuple) -> None:
+    def descend(i: int, remaining: int, largest: int, prefix: tuple, room: int) -> None:
+        # room: the boxes of bound's rows i on
         if remaining == 0:
             found.append(tuple.__new__(Partition, prefix))  # valid by construction
             return
         if i == len(bound):
             return
+        rows, below = len(bound) - i, room - bound[i]
         for part in range(min(bound[i], largest, remaining), 0, -1):
-            if part * (len(bound) - i) < remaining:
+            # each row below holds at most ``part`` boxes, and all of them ``below``
+            if part * rows < remaining or part + below < remaining:
                 break
-            descend(i + 1, remaining - part, part, prefix + (part,))
+            descend(i + 1, remaining - part, part, prefix + (part,), below)
 
-    descend(0, size, size, ())
+    descend(0, size, size, (), sum(bound))
     return found

@@ -6,12 +6,12 @@ which is exactly the reading-word order: the lattice condition becomes a
 prefix property and prunes the search as early as possible. It comes in two
 parts. A plan of one outer shape holds each box once (its cell, its upper
 and right neighbours, and a letter cap from the boxes below it in its
-column), planned only as far as the inner shapes asked about reach, so one
-plan serves every inner shape of a call. A walk then backtracks over one
-inner shape's boxes, so fillings come out in lexicographic order of the
-reading word, and tallies each filling's content inside its loop. The same
-core, with the quota and lattice checks switched off, enumerates plain
-semistandard fillings (used by the polynomial cross-check).
+column), planned in one pass down to the least inner shape asked so far,
+so one plan serves every inner shape of a call. A walk then backtracks
+over one inner shape's boxes, so fillings come out in lexicographic order
+of the reading word, and tallies each filling's content inside its loop.
+The same core, with the quota and lattice checks switched off, enumerates
+plain semistandard fillings (used by the polynomial cross-check).
 
 The core is private to the package and takes plain partitions that its
 callers have already checked. Its three leaf kinds each run it and return
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from itertools import chain
 from operator import lt
 from typing import Callable, Iterable, Sequence
 
@@ -156,10 +155,9 @@ _FIRST = 2
 
 class _Plan:
     """The boxes of one outer shape, planned for the search once per call
-    for all the inner shapes it is asked about, and only as far as they
-    reach.
+    for all the inner shapes it is asked about, down to their floor.
 
-    Each box is planned once as ``(cell, above, right, cap)``: its index in
+    Each box is planned as ``(cell, above, right, cap)``: its index in
     ``fill``, the indices of its upper and right neighbours, and its largest
     possible letter, ``nletters`` minus the number of boxes below it in its
     column. The cap is sound because column strictness gives those boxes
@@ -172,72 +170,70 @@ class _Plan:
     holds 0 during that walk, as the sentinel for "no box above" does, and
     a box's right neighbour is a skew box whenever the box is one.
 
-    ``rows[i]`` holds row ``i``'s planned boxes right to left, so an inner
-    shape's boxes in reading order are a prefix of each row, and
-    ``reach[i]`` is its leftmost planned column. A row is extended to the
-    left when an inner shape first reaches further, so the plan's memory
-    follows the skew boxes searched, never ``|outer|``; the cells of the
-    first inner shape are its skew boxes row-major, from ``_FIRST`` on."""
+    Every row is planned in one pass down to ``floor``, the componentwise
+    least inner shape asked so far (``outer`` before any), its cells
+    row-major from ``_FIRST``; an inner shape below the floor in some row
+    lowers it, and the whole shape is planned again. So the plan's memory
+    follows the skew boxes searched, never ``|outer|``, and a plan of one
+    inner shape holds just its skew boxes, row-major. ``rows[i]`` holds row
+    ``i``'s boxes right to left, so an inner shape's boxes in reading order
+    are a prefix of each row."""
 
-    __slots__ = ("outer", "size", "nletters", "lattice", "rows", "reach", "cells")
+    __slots__ = ("outer", "size", "nletters", "lattice", "floor", "rows", "cells")
 
     def __init__(self, outer: Sequence[int], nletters: int, lattice: bool):
         self.outer = outer
         self.size = sum(outer)
         self.nletters = nletters
         self.lattice = lattice
-        self.rows: list[list[tuple]] = [[] for _ in outer]
-        self.reach = list(outer)
+        self.floor = tuple(outer)
+        self.rows: list[list[tuple]] = []
         self.cells = _FIRST  # the length of ``fill``
 
     def boxes(self, inner: Sequence[int]) -> list[tuple]:
-        """The boxes of outer/inner in reading order, planning the ones no
-        earlier inner shape reached."""
+        """The boxes of outer/inner in reading order, planning the shape
+        again first if ``inner`` goes below the floor."""
         inner = tuple(inner) + (0,) * (len(self.outer) - len(inner))
-        if self.cells == _FIRST:  # nothing planned yet: the rows become inner's boxes
-            self._extend(inner)
-            return list(chain.from_iterable(self.rows))
-        if any(map(lt, inner, self.reach)):
-            self._extend(inner)
+        if any(map(lt, inner, self.floor)):
+            self._build(tuple(map(min, inner, self.floor)))
         found: list[tuple] = []
         for row, hi, lo in zip(self.rows, self.outer, inner):
             found += row[:hi - lo]
         return found
 
-    def _extend(self, inner: tuple) -> None:
-        """Plan every row down to the column where ``inner`` ends it."""
-        outer, rows, reach, nletters = self.outer, self.rows, self.reach, self.nletters
-        lattice, cells, fresh = self.lattice, self.cells, self.cells == _FIRST
+    def _build(self, floor: tuple) -> None:
+        """Plan every row from scratch, down to ``floor``."""
+        outer, nletters, lattice = self.outer, self.nletters, self.lattice
         steps = [-part for part in outer]  # ascending, for bisect
-        # the row above has planned columns [up_lo, up_hi); none above row 0
-        up: list[tuple] = []
-        up_lo = up_hi = outer[0] if outer else 0
-        for i, (row, hi, lo, cur) in enumerate(zip(rows, outer, inner, reach)):
-            if lo < cur:  # plan the columns cur - 1 down to lo
-                base = cells - lo  # the cell of column j is base + j
-                cells += cur - lo
-                reach[i] = lo
-                right = row[-1][0] if row else 1
-                split = cur if cur < up_lo else up_lo if up_lo > lo else lo
-                for j in range(cur - 1, split - 1, -1):
-                    # under a planned box, whose column has one box more
-                    cell, _, _, cap = up[up_hi - 1 - j]
-                    row.append((base + j, cell, right, cap + 1))
-                    right = base + j
-                top = i + 1 if lattice else nletters
-                for j in range(split - 1, lo - 1, -1):
-                    # no planned box above: count the rows that reach column j
-                    cap = nletters + 1 + i - bisect_left(steps, -j)
-                    row.append((base + j, 0, right, top if cap > top else cap))
-                    right = base + j
-                if not fresh and i + 1 < len(rows) and rows[i + 1]:
-                    # the planned boxes under the new ones now have a box above
-                    down, down_hi = rows[i + 1], outer[i + 1]
-                    for j in range(max(lo, reach[i + 1]), min(cur, down_hi)):
-                        cell, _, beside, cap = down[down_hi - 1 - j]
-                        down[down_hi - 1 - j] = (cell, base + j, beside, cap)
-            up, up_lo, up_hi = row, reach[i], hi
-        self.cells = cells
+        rows: list[list[tuple]] = []
+        cells = _FIRST
+        # the row above holds the cells up + j of columns j >= up_lo; none
+        # above row 0
+        up, up_lo = 0, outer[0]
+        for i, (hi, lo) in enumerate(zip(outer, floor)):
+            base = cells - lo  # the cell of column j is base + j
+            cells += hi - lo
+            top = i + 1 if lattice else nletters
+            row: list[tuple] = []
+            right = 1
+            for j in range(hi - 1, lo - 1, -1):
+                # nletters less the boxes below: the rows past i that reach column j
+                cap = nletters + 1 + i - bisect_left(steps, -j)
+                row.append((base + j, up + j if j >= up_lo else 0, right,
+                            top if cap > top else cap))
+                right = base + j
+            rows.append(row)
+            up, up_lo = base, lo
+        self.floor, self.rows, self.cells = floor, rows, cells
+
+
+def _check_depth(size: int) -> None:
+    """Refuse, with a ValueError, a search of more boxes than the recursion
+    limit less a margin for the callers' frames: it recurses once per box."""
+    budget = sys.getrecursionlimit() - 100
+    if size > budget:
+        raise ValueError(f"the tableau search would fill {size} boxes, "
+                         f"more than its depth budget of {budget}")
 
 
 def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
@@ -260,17 +256,13 @@ def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
     not the box count has no filling; on a plan without ``lattice`` the
     lattice test compares against a row of such ceilings instead.
 
-    The search recurses once per box, so a shape with more boxes than the
-    interpreter's recursion limit, less a margin for the caller's own
-    frames, is refused with a ValueError before anything is planned.
+    A shape with more boxes than the depth budget (see
+    :func:`_check_depth`) is refused before anything of it is planned.
     """
     size = plan.size - sum(inner)
     if quota is not None and sum(quota) != size:
         return
-    budget = sys.getrecursionlimit() - 100
-    if size > budget:
-        raise ValueError(f"the tableau search would fill {size} boxes, "
-                         f"more than its depth budget of {budget}")
+    _check_depth(size)
     boxes = plan.boxes(inner)
     nletters = plan.nletters
     fill = [0] * plan.cells

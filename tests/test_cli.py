@@ -200,14 +200,9 @@ def test_search_past_its_depth_budget_exits_2(capsys, argv, boxes):
     assert captured.err.startswith(f"error: the tableau search would fill {boxes} boxes, ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["lr", "10000000000", "1", "10000000001"],
-    ["nl", "10000000000", "10000000000", "2"],
-], ids=["lr", "nl"])
-def test_wide_one_box_search_answers_under_a_memory_cap(argv):
-    """A search plans only the columns that hold skew boxes, so a one-box
-    search on a shape ten billion columns wide answers within a 2 GB
-    address space."""
+def run_capped(argv):
+    """Run the command line in a subprocess under a 2 GB address-space cap,
+    killed after 60 s."""
     script = (
         "import resource, sys\n"
         "cap = 2 << 30\n"
@@ -219,12 +214,34 @@ def test_wide_one_box_search_answers_under_a_memory_cap(argv):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["lr", "10000000000", "1", "10000000001"], "1\n"),
+    (["nl", "10000000000", "10000000000", "2"], "1\n"),
+    (["nl", "10000000000,1", "10000000000,1", "2"], "2\n"),
+], ids=["lr", "nl", "nl-two-rows"])
+def test_wide_one_box_search_answers_under_a_memory_cap(argv, out):
+    """A search plans only the columns that hold skew boxes, so a one-box
+    search on a shape ten billion columns wide answers within a 2 GB
+    address space; with two rows its plan is built again for the second
+    inner shape, and the two alphas are listed without trying the parts
+    between."""
+    proc = run_capped(argv)
+    assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
+
+
+def test_wide_self_pairing_is_refused_before_listing_its_alphas():
+    """(10^10, 10^10) has 5 * 10^9 + 1 alphas, each with ten billion boxes
+    to fill: the depth budget refuses the first before any is listed."""
+    proc = run_capped(["detect", "10000000000,10000000000"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the tableau search would fill 10000000000 boxes, ")
 
 
 def test_depth_budget_counts_the_smaller_side(capsys):

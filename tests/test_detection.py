@@ -123,13 +123,12 @@ def test_empty_partition_witness():
     assert_sound((), w)
 
 
-def test_search_witness_is_the_first_support_triangle():
-    """Every detected even weight of size <= 12, the empty weight included."""
-    detected = [lam for n in range(0, 13, 2) for lam in all_partitions(n)
-                if nl_coefficient(lam, lam, lam)]
-    assert len(detected) == 160
-    for lam in detected:
-        w = detection._search_witness(lam)
+def test_armless_column_witness_is_the_first_support_triangle():
+    """The hook recipe degenerates on the column (1^2k); its witness is
+    (1^k) three times, the first triangle of the self-pairing sum."""
+    for k in range(1, 7):
+        lam = Partition((1,) * (2 * k))
+        w = witness_hook(lam)
         assert (w.alpha, w.beta, w.gamma) == nl_sum_support(lam, lam, lam)[0], lam
         assert w.path == "fallback"
         assert detection._witness_ok(lam, w), lam

@@ -3,6 +3,8 @@ cross-checked against a label-everything brute-force counter."""
 
 import functools
 import itertools
+import random
+from operator import le
 
 import pytest
 
@@ -186,6 +188,26 @@ def test_search_refuses_shapes_past_its_depth_budget():
         semistandard_content_counts(SkewShape((10**7,), ()), 1)
     assert count_lr_fillings(SkewShape((10**7,), (1,)), (3,)) == 0
     assert enumerate_lr_tableaux(SkewShape((10**7,), ()), (1,)) == []
+
+
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "plain"])
+def test_shared_plan_tallies_as_a_fresh_plan_in_any_order(lattice):
+    """One plan walked over many inner shapes, in any order, gives each the
+    tally of a plan of that shape alone, though the plan is built again
+    whenever an inner shape goes below the earlier ones in some row."""
+    rng = random.Random(1)
+    for n in range(8):
+        for outer in gen_partitions(n):
+            inners = [inner for m in range(n + 1) for inner in gen_partitions(m)
+                      if len(inner) <= len(outer) and all(map(le, inner, outer))]
+            nletters = len(outer) if lattice else 3
+            alone = {inner: tableaux._tally(tableaux._Plan(outer, nletters, lattice), [inner])
+                     for inner in inners}
+            shuffled = rng.sample(inners, len(inners))
+            for order in (inners, inners[::-1], shuffled):
+                plan = tableaux._Plan(outer, nletters, lattice)
+                for inner in order:
+                    assert tableaux._tally(plan, [inner]) == alone[inner], (outer, inner)
 
 
 def test_enumeration_outputs_are_lr():
