@@ -4,7 +4,8 @@ Commands: lr, nl, decompose, detect, verify, render. Formats: plain (text
 lines), json (one document per run, JSON lines for sweeps), ascii-diagram
 (plain plus box diagrams). Exit codes: 0 success or detected; 1 not detected
 (detect only); 2 usage, parse or precondition errors; 3 arithmetic overflow;
-4 internal invariant failure.
+4 internal invariant failure; 141 (128 + SIGPIPE) standard output closed
+by its reader.
 
 Diagrams are drawn up to a fixed number of cells: ``render`` of a larger
 shape, other than in JSON, and ``lr --certificates`` with a larger upper
@@ -27,14 +28,16 @@ from .partitions import _is_decimal, contains, parse, render
 from .tableaux import (SkewShape, _check_drawable, ascii_diagram, enumerate_lr_tableaux,
                        shape_diagram, tableau_json)
 
-# detection and the polynomial oracle are imported by the commands that run
-# them, so that no other command pays for loading them at start-up
+# detection is imported by the commands that run it, so that no other
+# command pays for loading it at start-up
 
 EXIT_OK = 0
 EXIT_NOT_DETECTED = 1
 EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_INTERNAL = 4
+# the status a shell shows for a process that SIGPIPE ended
+EXIT_CLOSED_OUTPUT = 141
 
 
 def _colorize(text: str, good: bool) -> str:
@@ -70,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu", help="upper partition")
     p.add_argument("--certificates", action="store_true",
                    help="also print every certifying tableau")
-    p.add_argument("--backend", choices=("tableaux", "polynomials"),
-                   default="tableaux", help=argparse.SUPPRESS)
 
     p = sub.add_parser("nl", parents=[shared],
                        help="Newell-Littlewood coefficient for three partitions")
@@ -118,12 +119,8 @@ def _cmd_lr(args) -> int:
         # there is no certificate
         _check_drawable(nu)
         certs = enumerate_lr_tableaux(SkewShape(nu, lam), mu) if contains(lam, nu) else []
-    if args.backend == "polynomials":
-        from .oracle import lr_via_polynomials
-        value = lr_via_polynomials(lam, mu, nu)
-    else:
-        # the certificates are the fillings the coefficient counts
-        value = lr_coefficient(lam, mu, nu) if certs is None else checked(len(certs))
+    # the certificates are the fillings the coefficient counts
+    value = lr_coefficient(lam, mu, nu) if certs is None else checked(len(certs))
     if args.format == "json":
         doc = {"lambda": render(lam), "mu": render(mu), "nu": render(nu),
                "coefficient": value}
@@ -257,7 +254,17 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # flushed here, so that a closed pipe is caught below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device so that the
+        # flush at exit finds nothing to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_OUTPUT
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW

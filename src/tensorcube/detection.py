@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Optional
 from .newell_littlewood import nl_coefficient, nl_coefficient_full
 from .partitions import (AllEven, DistinctOddEvenLength, Hook, Partition,
                          Rectangle, classify, enumerate_partitions, render)
-from .tableaux import (SkewShape, SkewTableau, _cuts, content, enumerate_lr_tableaux,
-                       is_lr_tableau, tableau_json)
+from .tableaux import (SkewShape, SkewTableau, _check_drawable, _cuts, content,
+                       enumerate_lr_tableaux, is_lr_tableau, tableau_json)
 
 ODD_SWEEP_LIMIT = 13
 EVEN_SWEEP_LIMIT = 12
@@ -80,7 +80,10 @@ def _greedy_rows(shape: SkewShape, cont: Partition) -> Optional[SkewTableau]:
 def _certificate(lam: Partition, inner: Partition,
                  cont: Partition) -> tuple[SkewTableau, bool]:
     """A validated certificate for the pair: greedy construction first,
-    enumeration fallback second. Raises when none exists at all."""
+    enumeration fallback second. Raises when none exists at all, and, before
+    any row is built, when ``lam`` is past the drawing bound: a certificate
+    is drawn and rendered on its diagram."""
+    _check_drawable(lam)
     shape = SkewShape(lam, inner)
     direct = _greedy_rows(shape, cont)
     if direct is not None and is_lr_tableau(direct):

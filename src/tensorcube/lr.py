@@ -3,7 +3,7 @@
 Enumeration of lattice-word fillings is the single production algorithm,
 with the content fixed (one coefficient) or free (every expansion, of a
 skew shape or of a whole product, read by one routine off the search's
-content tally). Since c(lam, mu; nu) = c(mu, lam; nu), a coefficient is
+content tally, which comes keyed by plain partitions as tuples). Since c(lam, mu; nu) = c(mu, lam; nu), a coefficient is
 counted on its smaller side: nu less the larger lower shape, filled with
 the smaller one as content, so the search fills min(|lam|, |mu|) boxes.
 The ``oracle`` module recomputes the same numbers through symmetric
@@ -60,27 +60,21 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     return checked(count_lr_fillings(SkewShape(nu, large), small))
 
 
-def _terms(pairs: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
-    """Lattice tally entries as expansion terms keyed by plain tuples, in
-    the order given. Checking the largest multiplicity checks them all."""
-    terms = {}
-    for found, n in pairs:
-        # counts[1:] is weakly decreasing (a lattice word's content), so its
-        # zeros are a suffix: one slice drops them with the sentinel
-        terms[found[1:found.index(0) if found[-1] == 0 else None]] = n
-    if terms:
-        checked(max(terms.values()))
-    return terms
+def _terms(tally: dict[tuple, int]) -> dict[tuple, int]:
+    """A lattice tally as expansion terms, its largest multiplicity checked,
+    which checks them all."""
+    if tally:
+        checked(max(tally.values()))
+    return tally
 
 
 def _expand(outer: tuple, inners: Iterable[tuple], nletters: int) -> dict[Partition, int]:
     """The contents of the lattice fillings of outer/inner over the inner
     shapes, on one plan of ``outer`` with letters 1..nletters, keyed by
-    partitions, degrees descending and reverse-lex within each degree (the
-    sentinel leads each tally key, and weights of one size compare as their
-    zero-padded counts do)."""
-    tally = _tally(_Plan(outer, nletters, True), inners)
-    return {Partition(beta): n for beta, n in _terms(sorted(tally.items(), reverse=True)).items()}
+    partitions, degrees descending and reverse-lex within each degree."""
+    terms = _terms(_tally(_Plan(outer, nletters, True), inners))
+    return {Partition(beta): terms[beta]
+            for beta in sorted(sorted(terms, reverse=True), key=sum, reverse=True)}
 
 
 class _Expansions(dict):
@@ -99,7 +93,7 @@ class _Expansions(dict):
         self.plan = _Plan(outer, len(outer), True)
 
     def __missing__(self, inner: tuple) -> dict[tuple, int]:
-        found = self[inner] = (_terms(_tally(self.plan, [inner]).items())
+        found = self[inner] = (_terms(_tally(self.plan, [inner]))
                                if _inside(inner, self.outer) else {})
         return found
 

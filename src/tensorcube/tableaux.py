@@ -9,16 +9,19 @@ and right neighbours, and a letter cap from the boxes below it in its
 column), planned in one pass down to the least inner shape asked so far,
 so one plan serves every inner shape of a call. A walk then backtracks
 over one inner shape's boxes, so fillings come out in lexicographic order
-of the reading word, and tallies each filling's content inside its loop.
+of the reading word, and has one leaf action: each filling adds 1 to a
+tally, keyed by its letter counts or, for tableaux, by its entries.
 The same core, with the quota and lattice checks switched off, enumerates
 plain semistandard fillings (used by the polynomial cross-check).
 
 The core is private to the package and takes plain partitions that its
-callers have already checked. Its three leaf kinds each run it and return
-the answer: a count (LR and Kostka numbers), one content tally over many
-inner shapes of one outer shape (skew-Schur expansions, decompositions,
-content histograms) and the tableaux, whose row cut also shapes the
-detection module's greedy fillings.
+callers have already checked. Its three leaf kinds each run it and read
+the tally: a count is its sum (LR and Kostka numbers), a content tally over
+many inner shapes of one outer shape comes back keyed by plain contents
+(skew-Schur expansions, decompositions, content histograms), and the
+tableaux are built from the filled entries after the search, with the row
+cut that also shapes the detection module's greedy fillings. The tally's
+key format is known to this module alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from operator import lt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .partitions import Partition, _Record, _set, contains, render
 
@@ -237,19 +240,17 @@ def _check_depth(size: int) -> None:
 
 
 def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
-          tally: dict | None, on_leaf: Callable | None = None) -> None:
+          tally: dict, fillings: bool = False) -> None:
     """Backtracking core: every filling of plan.outer/inner, a plain
     partition that the caller has checked, in the reading-word box order
-    and in lexicographic order of the reading word. Each filling's content
-    goes into ``tally``, keyed by ``tuple(counts)`` (see below), or, given
-    ``on_leaf``, that is called as ``on_leaf(fill, counts)`` instead.
+    and in lexicographic order of the reading word. Each filling adds 1 to
+    ``tally[tuple(counts)]``, or, with ``fillings``, to ``tally[tuple(fill)]``.
 
     ``fill`` holds the entries in the plan's cells (see :class:`_Plan`).
     ``counts[x]`` tallies the letter ``x``; it doubles as the lattice prefix
     tally because boxes are filled in reading order, and ``counts[0]`` is a
     sentinel ``size + 1``, larger than any tally, so the letter 1 always
-    passes; only ``counts[1:]`` are tallies. Both lists are reused between
-    leaves, so ``on_leaf`` copies what it keeps.
+    passes; only ``counts[1:]`` are tallies.
 
     ``quota`` fixes the per-letter box counts (None leaves them free, as a
     quota of ``size + 1`` that no tally reaches), and a quota whose total is
@@ -270,8 +271,9 @@ def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
     counts = [size + 1] + [0] * nletters
     ceiling = [0, *quota] if quota is not None else [size + 1] * (nletters + 1)
     bar = counts if plan.lattice else [size + 1] * (nletters + 1)
+    key = fill if fillings else counts
+    get = tally.get
     last = size - 1
-    get = tally.get if on_leaf is None else None
 
     def place(k: int) -> None:
         cell, above, right, cap = boxes[k]
@@ -283,50 +285,44 @@ def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
                 counts[x] = c + 1
                 if k != last:
                     place(k + 1)
-                elif get is not None:
-                    found = tuple(counts)
-                    tally[found] = get(found, 0) + 1
                 else:
-                    on_leaf(fill, counts)
+                    found = tuple(key)
+                    tally[found] = get(found, 0) + 1
                 counts[x] = c
 
     if size:
         place(0)
-    elif get is not None:
-        found = tuple(counts)
+    else:  # the empty shape's one filling, recorded as above
+        found = tuple(key)
         tally[found] = get(found, 0) + 1
-    else:
-        on_leaf(fill, counts)
 
 
 # The search's three leaf kinds: a count, a content tally and the tableaux.
+# Each reads the tally its walks fill.
 
 
 def _count(outer: Sequence[int], inner: Sequence[int], quota: Sequence[int],
            lattice: bool) -> int:
-    """Number of fillings of outer/inner with content ``quota``. Every leaf
-    has that content, so the count takes a callback, which costs less than
-    the tally's tuple and dict update at each leaf."""
-    hits = 0
-
-    def bump(fill, counts):
-        nonlocal hits
-        hits += 1
-
-    _walk(_Plan(outer, len(quota), lattice), inner, quota, None, bump)
-    return hits
+    """Number of fillings of outer/inner with content ``quota``: every leaf
+    has that content, so the tally has at most one key."""
+    tally: dict[tuple, int] = {}
+    _walk(_Plan(outer, len(quota), lattice), inner, quota, tally)
+    return sum(tally.values())
 
 
 def _tally(plan: _Plan, inners: Iterable[Sequence[int]]) -> dict[tuple, int]:
     """The content of every filling of plan.outer/inner, over the inner
-    shapes, with letters 1..plan.nletters, tallied into one dict keyed by
-    ``tuple(counts)``: the sentinel ``size + 1``, then the count of each
-    letter. With one letter count, equal contents share a key whatever
-    shape they came from."""
+    shapes, with letters 1..plan.nletters, tallied into one dict in the
+    order the search first meets each content. On a lattice plan a content
+    is a partition, keyed as a plain tuple without zeros; otherwise it is
+    the full length-``plan.nletters`` vector of letter counts."""
     tally: dict[tuple, int] = {}
     for inner in inners:
         _walk(plan, inner, None, tally)
-    return tally
+    # a lattice word's content is weakly decreasing, so its zeros are a
+    # suffix: one slice drops them with the sentinel
+    return {found[1:found.index(0) if plan.lattice and found[-1] == 0 else None]: n
+            for found, n in tally.items()}
 
 
 def _cuts(shape: SkewShape) -> list[tuple[int, int]]:
@@ -344,9 +340,16 @@ def _collect(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
              lattice: bool) -> list[SkewTableau]:
     """Every filling of ``shape``, as tableaux in the search's order."""
     cuts = [(a + _FIRST, b + _FIRST) for a, b in _cuts(shape)]
+    tally: dict[tuple, int] = {}
+    _walk(_Plan(shape.outer, nletters, lattice), shape.inner, quota, tally, True)
+    # each fill is dropped as its tableau is made, so the two are not all
+    # held at once
+    fills = list(reversed(tally))
+    del tally
     out: list[SkewTableau] = []
-    _walk(_Plan(shape.outer, nletters, lattice), shape.inner, quota, None,
-          lambda fill, counts: out.append(SkewTableau(shape, [fill[a:b] for a, b in cuts])))
+    while fills:
+        fill = fills.pop()
+        out.append(SkewTableau(shape, [fill[a:b] for a, b in cuts]))
     return out
 
 
@@ -375,8 +378,7 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
     1..max_entry; keys are full length-``max_entry`` count vectors."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    tally = _tally(_Plan(shape.outer, max_entry, False), [shape.inner])
-    return {found[1:]: n for found, n in tally.items()}
+    return _tally(_Plan(shape.outer, max_entry, False), [shape.inner])
 
 
 # The most cells a diagram is drawn with, inner boxes included: a larger

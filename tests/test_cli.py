@@ -80,12 +80,6 @@ def test_lr_certificates_search_once(capsys, monkeypatch):
     assert len(searches) == 1
 
 
-def test_lr_polynomial_backend_agrees(capsys):
-    plain = run(capsys, "lr", "2,1", "2,1", "3,2,1")[1]
-    poly = run(capsys, "lr", "2,1", "2,1", "3,2,1", "--backend", "polynomials")[1]
-    assert plain == poly
-
-
 def test_lr_parse_error_exits_2(capsys):
     code = main(["lr", "bogus", "1", "1"])
     assert code == 2
@@ -414,10 +408,10 @@ def test_commands_load_only_what_they_run(argv, absent):
     assert _loaded_after(argv, absent) == []
 
 
-def test_polynomial_backend_loads_the_oracle():
+def test_detect_loads_detection():
     """The start-up probe sees a module the command does load."""
-    assert _loaded_after(["lr", "1", "1", "2", "--backend", "polynomials"],
-                         ["tensorcube.oracle"]) == ["tensorcube.oracle"]
+    assert _loaded_after(["detect", "2"],
+                         ["tensorcube.detection"]) == ["tensorcube.detection"]
 
 
 # --- render ---
@@ -491,3 +485,26 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "7,5,3,1"],
+    ["lr", "1", "1", "2"],
+    ["verify", "even", "--max-size", "6", "--format", "json"],
+], ids=["detect", "lr", "verify-json"])
+def test_closed_output_exits_141_quietly(argv):
+    """A reader that closes the pipe ends the command with 128 + SIGPIPE, as
+    a shell reports for a process SIGPIPE killed, and no traceback; for
+    detect, exit 1 would read as "not detected"."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorcube.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")

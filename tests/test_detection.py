@@ -1,7 +1,12 @@
 """Tensor-cube detection: witness construction for the four shape
 families, the detection verdict, and the two verification sweeps."""
 
+import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +27,7 @@ from tensorcube import (
     witness_hook,
     witness_rectangle,
 )
-from tensorcube import detection
+from tensorcube import detection, tableaux
 from tensorcube.detection import EVEN_SWEEP_LIMIT, ODD_SWEEP_LIMIT
 from tensorcube.oracle import lr_via_polynomials
 from tensorcube.tableaux import content, is_lr_tableau, word
@@ -156,6 +161,40 @@ def test_build_witness_priority_and_none_cases():
     assert build_witness((2, 1)) is None  # odd size
     assert build_witness((4, 4)).alpha == Partition((2, 2))  # all-even first
     assert build_witness((1, 1)).path == "fallback"
+
+
+def test_wide_witness_is_refused_before_any_row_is_built():
+    """A certificate is drawn on its weight's diagram, so a weight past the
+    drawing bound is refused before its greedy rows list |lam|/2 letters;
+    (2000, 2000), past the search's depth budget but drawable, still builds.
+    Run under a 2 GB address-space cap, as the command line tests are."""
+    script = (
+        "import json, resource\n"
+        "cap = 2 << 30\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    cap = min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from tensorcube import build_witness, witness_hook\n"
+        "found = []\n"
+        "for build, lam in ((build_witness, (10**10, 10**10)), (witness_hook, (10**10,))):\n"
+        "    try:\n"
+        "        build(lam)\n"
+        "    except ValueError as exc:\n"
+        "        found.append(str(exc))\n"
+        "found.append(build_witness((2000, 2000)).path)\n"
+        "print(json.dumps(found))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    bound = f"past the drawing bound of {tableaux._MAX_DIAGRAM_CELLS} cells"
+    assert json.loads(proc.stdout) == [
+        f"a diagram of {2 * 10**10} cells is {bound}",
+        f"a diagram of {10**10} cells is {bound}",
+        "constructed",
+    ]
 
 
 def test_witnesses_validate_on_every_classified_shape():

@@ -190,6 +190,24 @@ def test_search_refuses_shapes_past_its_depth_budget():
     assert enumerate_lr_tableaux(SkewShape((10**7,), ()), (1,)) == []
 
 
+def test_tally_keys_are_contents():
+    """A lattice tally is keyed by plain partitions, each with its LR count;
+    a plain tally by full-length letter counts. No key carries the search's
+    sentinel, so no caller needs to know it."""
+    for shape in skew_shapes(7):
+        outer, inner = shape.outer, shape.inner
+        lattice = tableaux._tally(tableaux._Plan(outer, len(outer), True), [inner])
+        assert lattice, shape
+        for key, n in lattice.items():
+            assert all(part > 0 for part in key), (shape, key)
+            assert list(key) == sorted(key, reverse=True), (shape, key)
+            assert sum(key) == shape.size, (shape, key)
+            assert n == count_lr_fillings(shape, key), (shape, key)
+        for k in range(4):
+            plain = tableaux._tally(tableaux._Plan(outer, k, False), [inner])
+            assert all(len(key) == k for key in plain), (shape, k)
+
+
 @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "plain"])
 def test_shared_plan_tallies_as_a_fresh_plan_in_any_order(lattice):
     """One plan walked over many inner shapes, in any order, gives each the
