@@ -97,7 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[shared],
                        help="exhaustive verification sweeps")
-    p.add_argument("theorem", choices=("odd", "even"))
+    p.add_argument("theorem", choices=("odd", "even"),
+                   help="odd: the stable constant N(lam,lam,lam) is 0 at every odd "
+                        "size, which holds by parity; this is not the rank-n "
+                        "question for SO(2n+1), where (1) is detected at SO(3). "
+                        "even: every weight in a covered family has a validated "
+                        "witness")
     p.add_argument("--max-size", type=_at_least(0), required=True,
                    help="largest weight size to sweep (a non-negative integer)")
     p.add_argument("--jobs", type=_at_least(1), default=1,

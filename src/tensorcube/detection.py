@@ -299,7 +299,13 @@ def _sweep(theorem: str, entry: Callable, limit: int, max_size: int, jobs: int) 
 def verify_odd_theorem(max_size: int, jobs: int = 1) -> SweepReport:
     """Exhaustively confirm that every odd size up to ``max_size`` has a
     vanishing self-pairing constant, via the unshortcut sum. Any failure
-    indicates an implementation bug."""
+    indicates an implementation bug.
+
+    The constant checked is the stable one, N(lam, lam, lam), which
+    vanishes by parity: a term of the triple sum has |lam| = |alpha| +
+    |beta| = |alpha| + |gamma| = |beta| + |gamma|, so 3|lam| is even. This
+    is not the rank-n question for SO(2n+1): there (1) is detected at
+    SO(3), since Lambda^2 V is isomorphic to V."""
     return _sweep("odd", _odd_entry, ODD_SWEEP_LIMIT, max_size, jobs)
 
 

@@ -22,6 +22,14 @@ many inner shapes of one outer shape comes back keyed by plain contents
 tableaux are built from the filled entries after the search, with the row
 cut that also shapes the detection module's greedy fillings. The tally's
 key format is known to this module alone.
+
+Tableaux are checked at the boundary: the public ``SkewTableau``
+constructor checks the row lengths and entries of every tableau built from
+outside the search, and ``is_lr_tableau`` checks the LR conditions of any
+tableau (the detection module runs it on each greedy certificate, and the
+even sweep on all three certificates of every witness). The search's own
+tableaux are valid by construction, so they are built without the
+constructor's checks.
 """
 
 from __future__ import annotations
@@ -69,7 +77,13 @@ class SkewTableau(_Record):
     """A filling of a skew shape.
 
     ``rows[i]`` holds row ``i``'s entries left to right, skew boxes only; a
-    row fully covered by the inner shape contributes an empty tuple."""
+    row fully covered by the inner shape contributes an empty tuple.
+
+    The constructor checks the row lengths against the shape and that every
+    entry is a positive int (not a bool); it does not check the
+    semistandard or lattice conditions, which :func:`is_lr_tableau` does.
+    The tableau search builds its own fillings, valid by construction,
+    without these checks."""
 
     __slots__ = ("shape", "rows")
 
@@ -339,7 +353,7 @@ def _cuts(shape: SkewShape) -> list[tuple[int, int]]:
 def _collect(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
              lattice: bool) -> list[SkewTableau]:
     """Every filling of ``shape``, as tableaux in the search's order."""
-    cuts = [(a + _FIRST, b + _FIRST) for a, b in _cuts(shape)]
+    cuts = [slice(a + _FIRST, b + _FIRST) for a, b in _cuts(shape)]
     tally: dict[tuple, int] = {}
     _walk(_Plan(shape.outer, nletters, lattice), shape.inner, quota, tally, True)
     # each fill is dropped as its tableau is made, so the two are not all
@@ -349,8 +363,21 @@ def _collect(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
     out: list[SkewTableau] = []
     while fills:
         fill = fills.pop()
-        out.append(SkewTableau(shape, [fill[a:b] for a, b in cuts]))
+        out.append(_filled(shape, tuple([fill[cut] for cut in cuts])))
     return out
+
+
+def _filled(shape: SkewShape, rows: tuple) -> SkewTableau:
+    """The search's constructor: a tableau from rows the search made valid
+    by construction, with none of the public constructor's checks. The row
+    lengths come from :func:`_cuts` and every entry from a ``range`` of
+    positive ints, so the checks could not fail; ``rows`` is a tuple of
+    tuples already. Copies and pickles still go through the public
+    constructor (see :class:`~tensorcube.partitions._Record`)."""
+    tableau = object.__new__(SkewTableau)
+    _set(tableau, "shape", shape)
+    _set(tableau, "rows", rows)
+    return tableau
 
 
 def count_lr_fillings(shape: SkewShape, cont: Iterable[int]) -> int:
@@ -366,18 +393,25 @@ def enumerate_lr_tableaux(shape: SkewShape, cont: Iterable[int]) -> list[SkewTab
     return _collect(shape, len(cont), cont, True)
 
 
-def enumerate_semistandard_tableaux(shape: SkewShape, max_entry: int) -> list[SkewTableau]:
-    """Every semistandard filling of ``shape`` with entries in 1..max_entry."""
+def _check_max_entry(max_entry: int) -> None:
+    """Refuse, with a ValueError, a letter bound that is not a
+    non-negative int (a bool is refused too)."""
+    if not isinstance(max_entry, int) or isinstance(max_entry, bool):
+        raise ValueError(f"max_entry must be an int, got {max_entry!r}")
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
+
+
+def enumerate_semistandard_tableaux(shape: SkewShape, max_entry: int) -> list[SkewTableau]:
+    """Every semistandard filling of ``shape`` with entries in 1..max_entry."""
+    _check_max_entry(max_entry)
     return _collect(shape, max_entry, None, False)
 
 
 def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[int, ...], int]:
     """Histogram of contents over all semistandard fillings with entries in
     1..max_entry; keys are full length-``max_entry`` count vectors."""
-    if max_entry < 0:
-        raise ValueError(f"max_entry must be non-negative, got {max_entry}")
+    _check_max_entry(max_entry)
     return _tally(_Plan(shape.outer, max_entry, False), [shape.inner])
 
 

@@ -1,9 +1,12 @@
 """Skew shapes, reading words, the LR conditions, and enumeration,
 cross-checked against a label-everything brute-force counter."""
 
+import copy
 import functools
 import itertools
+import pickle
 import random
+import re
 from operator import le
 
 import pytest
@@ -80,6 +83,12 @@ def test_tableau_rejects_bool_entries():
         SkewTableau(SkewShape((2,), ()), ((True, True),))
     with pytest.raises(ValueError):
         SkewTableau(SkewShape((2, 1), (1,)), ((1,), (False,)))
+
+
+def test_tableau_rejects_non_positive_entries():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=rf"entries must be positive integers, got {bad}$"):
+            SkewTableau(SkewShape((2,), ()), ((1, bad),))
 
 
 def test_tableau_entry_lookup():
@@ -261,6 +270,31 @@ def test_enumeration_is_in_reading_word_order():
             assert len(words) == brute_lr(shape.inner, cont, shape.outer), (shape, cont)
 
 
+def assert_as_if_checked(t):
+    """``t`` equals the tableau the public, checked constructor makes of its
+    fields, holds plain ints, and copies and pickles (through that
+    constructor) to an equal record."""
+    assert t == SkewTableau(t.shape, t.rows)
+    assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows)
+    assert all(type(e) is int for row in t.rows for e in row)
+    assert copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_search_tableaux_equal_checked_ones():
+    """The search builds its tableaux without the public constructor's
+    checks; each LR tableau of an outer shape up to 8 boxes, for every
+    inner shape and content, and each semistandard tableau of an outer shape
+    up to 6 boxes with 0-3 letters is the tableau those checks accept."""
+    lr = [t for shape in skew_shapes(8) for cont in gen_partitions(shape.size)
+          for t in enumerate_lr_tableaux(shape, cont)]
+    ssyt = [t for shape in skew_shapes(6) for m in range(4)
+            for t in enumerate_semistandard_tableaux(shape, m)]
+    assert len(lr) > 1000 and len(ssyt) > 1000
+    for t in lr + ssyt:
+        assert_as_if_checked(t)
+
+
 # --- semistandard enumeration (no lattice condition) ---
 
 def test_ssyt_count_column():
@@ -271,6 +305,19 @@ def test_ssyt_count_column():
 def test_ssyt_count_row():
     shape = SkewShape((2,), ())
     assert len(enumerate_semistandard_tableaux(shape, 3)) == 6
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "max_entry must be an int, got 1.5"),
+    (True, "max_entry must be an int, got True"),
+    (-1, "max_entry must be non-negative, got -1"),
+])
+def test_ssyt_refuses_a_bad_max_entry(bad, message):
+    """A letter bound that is not a non-negative int (a float or a bool) is
+    refused at the boundary, by name, before the search is planned."""
+    for run in (enumerate_semistandard_tableaux, semistandard_content_counts):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(SkewShape((2, 1), ()), bad)
 
 
 def test_ssyt_content_counts():
