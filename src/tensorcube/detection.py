@@ -5,9 +5,10 @@ irreducible, i.e. the self-pairing structure constant is positive. Four shape
 families guarantee detection for even sizes: all parts even; distinct odd
 parts with evenly many rows; hooks; rectangles. Each family witness is a
 triangle (alpha, beta, gamma) of half-size partitions plus three certificate
-tableaux, built by explicit greedy fillings and validated. Where the hook
-recipe degenerates, on the armless column (1^2k), the witness is the first
-triangle of the self-pairing sum, ((1^k), (1^k), (1^k)).
+tableaux, each its content poured row by row into its skew shape: the README
+proves every recipe's pour an LR tableau, and each is still checked. The
+hook recipe's armless column (1^2k) takes the first triangle of the
+self-pairing sum, ((1^k), (1^k), (1^k)), the one witness labelled "fallback".
 
 The verification sweeps are exhaustive over bounded sizes: odd sizes must all
 vanish (checked through the unshortcut sum), and even sizes matching any
@@ -22,9 +23,9 @@ from typing import Callable, Iterable, Optional
 
 from .newell_littlewood import nl_coefficient, nl_coefficient_full
 from .partitions import (AllEven, DistinctOddEvenLength, Hook, Partition,
-                         Rectangle, classify, enumerate_partitions, render)
+                         Rectangle, _check_int, classify, enumerate_partitions, render)
 from .tableaux import (SkewShape, SkewTableau, _check_drawable, _cuts, content,
-                       enumerate_lr_tableaux, is_lr_tableau, tableau_json)
+                       is_lr_tableau, tableau_json)
 
 ODD_SWEEP_LIMIT = 13
 EVEN_SWEEP_LIMIT = 12
@@ -37,9 +38,9 @@ class WitnessTriple:
 
     ``certificates`` hold LR tableaux for (shape weight-alpha, content beta),
     (shape weight-beta, content gamma) and (shape weight-alpha, content
-    gamma), in that order. ``path`` is "constructed" when the family
-    recipe's greedy fillings all validate, and "fallback" when enumeration
-    stepped in or the recipe degenerates (the hook recipe on (1^2k))."""
+    gamma), in that order. ``path`` is "fallback" for the hook recipe on the
+    armless column (1^2k), where the recipe degenerates, and "constructed"
+    for every other recipe's triangle."""
 
     alpha: Partition
     beta: Partition
@@ -68,42 +69,30 @@ class DetectionVerdict:
     witness: Optional[WitnessTriple]
 
 
-def _greedy_rows(shape: SkewShape, cont: Partition) -> Optional[SkewTableau]:
-    """Row-major filling: the letters 1,...,1,2,... poured left to right, top
-    to bottom; None when the box count disagrees."""
-    if shape.size != cont.size:
-        return None
-    letters = [x + 1 for x, count in enumerate(cont) for _ in range(count)]
-    return SkewTableau(shape, [letters[a:b] for a, b in _cuts(shape)])  # the search's row cut
-
-
-def _certificate(lam: Partition, inner: Partition,
-                 cont: Partition) -> tuple[SkewTableau, bool]:
-    """A validated certificate for the pair: greedy construction first,
-    enumeration fallback second. Raises when none exists at all, and, before
-    any row is built, when ``lam`` is past the drawing bound: a certificate
-    is drawn and rendered on its diagram."""
+def _certificate(lam: Partition, inner: Partition, cont: Partition) -> SkewTableau:
+    """The letters 1,...,1,2,... of ``cont`` poured row-major into lam/inner
+    and checked: every recipe's pour is proven an LR tableau of its content
+    (README), so one that is not raises RuntimeError. A ``lam`` past the
+    drawing bound is refused before any row is built."""
     _check_drawable(lam)
     shape = SkewShape(lam, inner)
-    direct = _greedy_rows(shape, cont)
-    if direct is not None and is_lr_tableau(direct):
-        return direct, True
-    found = enumerate_lr_tableaux(shape, cont)
-    if not found:
-        raise RuntimeError(
-            f"no certificate of shape ({render(lam)})-({render(inner)}) "
-            f"with content ({render(cont)})")
-    return found[0], False
+    if shape.size == cont.size:
+        letters = [x + 1 for x, count in enumerate(cont) for _ in range(count)]
+        poured = SkewTableau(shape, [letters[a:b] for a, b in _cuts(shape)])  # the search's row cut
+        if is_lr_tableau(poured):
+            return poured
+    raise RuntimeError(
+        f"the row-major filling of shape ({render(lam)})-({render(inner)}) "
+        f"with content ({render(cont)}) is not an LR tableau")
 
 
 def _witness(lam: Partition, alpha: Partition, beta: Partition,
-             gamma: Partition) -> WitnessTriple:
+             gamma: Partition, path: str) -> WitnessTriple:
     """Certificates for (alpha, beta), (beta, gamma) and (alpha, gamma),
-    labelled "constructed" only when all three greedy fillings validate."""
-    made = [_certificate(lam, inner, cont)
-            for inner, cont in ((alpha, beta), (beta, gamma), (alpha, gamma))]
-    path = "constructed" if all(direct for _, direct in made) else "fallback"
-    return WitnessTriple(alpha, beta, gamma, tuple(cert for cert, _ in made), path)
+    under the recipe's label ``path``."""
+    return WitnessTriple(alpha, beta, gamma, tuple(
+        _certificate(lam, inner, cont)
+        for inner, cont in ((alpha, beta), (beta, gamma), (alpha, gamma))), path)
 
 
 def _family(lam: Partition, kind: type):
@@ -121,7 +110,7 @@ def witness_all_even(lam: Iterable[int]) -> WitnessTriple:
     lam = Partition(lam)
     _family(lam, AllEven)
     half = Partition(p // 2 for p in lam)
-    return _witness(lam, half, half, half)
+    return _witness(lam, half, half, half, "constructed")
 
 
 def witness_distinct_odd(lam: Iterable[int]) -> WitnessTriple:
@@ -133,7 +122,7 @@ def witness_distinct_odd(lam: Iterable[int]) -> WitnessTriple:
     k = len(lam) // 2
     alpha = Partition([(p + 1) // 2 for p in lam[:k]] + [(p - 1) // 2 for p in lam[k:]])
     beta = Partition([(p - 1) // 2 for p in lam[:k]] + [(p + 1) // 2 for p in lam[k:]])
-    return _witness(lam, alpha, beta, alpha)
+    return _witness(lam, alpha, beta, alpha, "constructed")
 
 
 def witness_hook(lam: Iterable[int]) -> WitnessTriple:
@@ -148,14 +137,13 @@ def witness_hook(lam: Iterable[int]) -> WitnessTriple:
     a, b = hook.arm, hook.leg
     if a % 2 == 1:
         core = Partition([1 + (a - 1) // 2] + [1] * (b // 2))
-        return _witness(lam, core, core, core)
+        return _witness(lam, core, core, core, "constructed")
     if a == 0:
         column = Partition([1] * ((b + 1) // 2))
-        cert, _ = _certificate(lam, column, column)
-        return WitnessTriple(column, column, column, (cert, cert, cert), "fallback")
+        return _witness(lam, column, column, column, "fallback")
     alpha = Partition([1 + a // 2] + [1] * ((b - 1) // 2))
     beta = Partition([a // 2] + [1] * ((b + 1) // 2))
-    return _witness(lam, alpha, beta, alpha)
+    return _witness(lam, alpha, beta, alpha, "constructed")
 
 
 def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
@@ -170,7 +158,7 @@ def witness_rectangle(lam: Iterable[int]) -> WitnessTriple:
     if rect.cols % 2 == 0:
         return witness_all_even(lam)
     half = Partition([rect.cols] * (rect.rows // 2))
-    return _witness(lam, half, half, half)
+    return _witness(lam, half, half, half, "constructed")
 
 
 _BUILDERS: tuple[tuple[type, Callable], ...] = (
@@ -203,17 +191,12 @@ def detects(lam: Iterable[int]) -> DetectionVerdict:
 
 
 def _witness_ok(lam: Partition, witness: WitnessTriple) -> bool:
-    specs = ((witness.alpha, witness.beta),
-             (witness.beta, witness.gamma),
+    """True iff each certificate is an LR tableau of its stated shape and content."""
+    specs = ((witness.alpha, witness.beta), (witness.beta, witness.gamma),
              (witness.alpha, witness.gamma))
-    for cert, (inner, cont) in zip(witness.certificates, specs):
-        if cert.shape.outer != lam or cert.shape.inner != inner:
-            return False
-        if content(cert) != tuple(cont):
-            return False
-        if not is_lr_tableau(cert):
-            return False
-    return True
+    return all(cert.shape.outer == lam and cert.shape.inner == inner
+               and content(cert) == tuple(cont) and is_lr_tableau(cert)
+               for cert, (inner, cont) in zip(witness.certificates, specs))
 
 
 @dataclass
@@ -287,6 +270,10 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
 def _sweep(theorem: str, entry: Callable, limit: int, max_size: int, jobs: int) -> SweepReport:
     """``entry`` of every weight of odd or even size, as ``theorem`` says, up
     to ``max_size`` (at most ``limit``); the family tallies are left empty."""
+    _check_int("max_size", max_size)
+    _check_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not 0 <= max_size <= limit:
         raise ValueError(f"max_size must be between 0 and {limit}, got {max_size}")
     lams = [lam for size in range(1 if theorem == "odd" else 0, max_size + 1, 2)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .lr import checked
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _check_int, enumerate_partitions
 from .tableaux import SkewShape, _count, semistandard_content_counts
 
 DEGREE_LIMIT = 14
@@ -87,6 +87,7 @@ def schur_polynomial(lam: Iterable[int], nvars: int) -> MultiDegreePolynomial:
     """Sum of x^content over semistandard fillings of ``lam`` with entries
     at most ``nvars``; symmetric by construction."""
     lam = Partition(lam)
+    _check_int("nvars", nvars)
     if nvars < 1:
         raise ValueError(f"need at least one variable, got {nvars}")
     if len(lam) > nvars:
@@ -160,6 +161,7 @@ def lr_via_polynomials(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int],
         raise ValueError(f"cross-check capped at combined size {DEGREE_LIMIT}, got {degree}")
     if nvars is None:
         nvars = max(len(lam), len(mu), len(nu), 1)
+    _check_int("nvars", nvars)
     if nvars < 1:
         raise ValueError(f"need at least one variable, got {nvars}")
     for factor in (lam, mu):

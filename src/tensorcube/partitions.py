@@ -14,6 +14,13 @@ from typing import Iterable, Union
 ENUMERATION_LIMIT = 64
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse, with a ValueError naming ``name``, a count argument that is
+    not an int; a bool is refused too, though Python counts it as one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _is_decimal(text: str) -> bool:
     """True iff ``text`` is one or more ASCII digits. ``str.isdecimal``,
     ``int`` and the regex ``\\d`` also take other scripts' digits, such as
@@ -30,8 +37,10 @@ class Partition(tuple):
         if type(parts) is Partition:
             return parts
         parts = tuple(parts)
-        while parts and parts[-1] == 0 and type(parts[-1]) is int:
-            parts = parts[:-1]
+        end = len(parts)
+        while end and parts[end - 1] == 0 and type(parts[end - 1]) is int:
+            end -= 1
+        parts = parts[:end]  # one copy, however many zeros trail
         previous = None
         for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
@@ -234,13 +243,16 @@ def enumerate_partitions(total: int, max_length: int | None = None,
                          max_part: int | None = None) -> list[Partition]:
     """All partitions of ``total`` within the bounds, reverse-lexicographic
     (largest first). ``None`` bounds are unbounded."""
+    _check_int("total", total)
     if total < 0:
         raise ValueError(f"total must be non-negative, got {total}")
     if total > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration bounded to totals <= {ENUMERATION_LIMIT}, got {total}")
     for name, bound in (("max_length", max_length), ("max_part", max_part)):
-        if bound is not None and bound < 1:
-            raise ValueError(f"{name} must be positive or None, got {bound}")
+        if bound is not None:
+            _check_int(name, bound)
+            if bound < 1:
+                raise ValueError(f"{name} must be positive or None, got {bound}")
     slots = total if max_length is None else min(max_length, total)
     cap = total if max_part is None else min(max_part, total)
     return partitions_inside([cap] * slots, total)

@@ -20,13 +20,13 @@ the tally: a count is its sum (LR and Kostka numbers), a content tally over
 many inner shapes of one outer shape comes back keyed by plain contents
 (skew-Schur expansions, decompositions, content histograms), and the
 tableaux are built from the filled entries after the search, with the row
-cut that also shapes the detection module's greedy fillings. The tally's
+cut that also shapes the detection module's poured certificates. The tally's
 key format is known to this module alone.
 
 Tableaux are checked at the boundary: the public ``SkewTableau``
 constructor checks the row lengths and entries of every tableau built from
 outside the search, and ``is_lr_tableau`` checks the LR conditions of any
-tableau (the detection module runs it on each greedy certificate, and the
+tableau (the detection module runs it on each poured certificate, and the
 even sweep on all three certificates of every witness). The search's own
 tableaux are valid by construction, so they are built without the
 constructor's checks.
@@ -39,7 +39,7 @@ from bisect import bisect_left
 from operator import lt
 from typing import Iterable, Sequence
 
-from .partitions import Partition, _Record, _set, contains, render
+from .partitions import Partition, _Record, _check_int, _set, contains, render
 
 
 class SkewShape(_Record):
@@ -396,8 +396,7 @@ def enumerate_lr_tableaux(shape: SkewShape, cont: Iterable[int]) -> list[SkewTab
 def _check_max_entry(max_entry: int) -> None:
     """Refuse, with a ValueError, a letter bound that is not a
     non-negative int (a bool is refused too)."""
-    if not isinstance(max_entry, int) or isinstance(max_entry, bool):
-        raise ValueError(f"max_entry must be an int, got {max_entry!r}")
+    _check_int("max_entry", max_entry)
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
 

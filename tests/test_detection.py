@@ -165,7 +165,7 @@ def test_build_witness_priority_and_none_cases():
 
 def test_wide_witness_is_refused_before_any_row_is_built():
     """A certificate is drawn on its weight's diagram, so a weight past the
-    drawing bound is refused before its greedy rows list |lam|/2 letters;
+    drawing bound is refused before its pour lists |lam|/2 letters;
     (2000, 2000), past the search's depth budget but drawable, still builds.
     Run under a 2 GB address-space cap, as the command line tests are."""
     script = (
@@ -197,15 +197,83 @@ def test_wide_witness_is_refused_before_any_row_is_built():
     ]
 
 
-def test_witnesses_validate_on_every_classified_shape():
-    """Soundness on all classified even shapes up to size 10."""
-    for n in range(0, 11, 2):
+def row_major_pour(cert):
+    """The certificate's content, 1,...,1,2,..., poured left to right and
+    top to bottom into its shape, computed here from the shape alone."""
+    letters = [t for t, count in enumerate(content(cert), 1) for _ in range(count)]
+    outer, inner = cert.shape.outer, cert.shape.inner
+    rows, start = [], 0
+    for i, part in enumerate(outer):
+        width = part - (inner[i] if i < len(inner) else 0)
+        rows.append(tuple(letters[start:start + width]))
+        start += width
+    return tuple(rows)
+
+
+def every_recipe(max_size):
+    """(weight, builder) for every recipe that applies, not only the first
+    by priority, to every weight of even size up to ``max_size``."""
+    for n in range(0, max_size + 1, 2):
         for lam in all_partitions(n):
-            if not classify(lam):
-                continue
-            w = build_witness(lam)
-            assert w is not None, lam
-            assert_sound(lam, w)
+            families = classify(lam)
+            for kind, builder in detection._BUILDERS:
+                if any(isinstance(f, kind) for f in families):
+                    yield lam, builder
+
+
+def test_witnesses_validate_on_every_classified_shape():
+    """Every recipe that applies on every even weight up to size 30: each
+    certificate is the row-major pour of its content, the witness
+    validates, and it carries its recipe's label."""
+    built = 0
+    for lam, builder in every_recipe(30):
+        w = builder(lam)
+        built += 1
+        for cert in w.certificates:
+            assert cert.rows == row_major_pour(cert), (lam, builder.__name__)
+        assert detection._witness_ok(lam, w), (lam, builder.__name__)
+        assert_sound(lam, w)
+        armless = builder is witness_hook and lam == (1,) * lam.size
+        assert w.path == ("fallback" if armless else "constructed"), lam
+    assert built == 1093
+
+
+def test_a_pour_that_is_not_an_lr_tableau_raises():
+    """No search stands behind the pour: one that is not an LR tableau of
+    its content, or whose box count disagrees, is an internal fault that
+    names the shape and the content (a ValueError would read as a usage
+    error, exit 2). An LR tableau of (2,2,1)/(1,1) with content (2,1)
+    exists; the pour is just not one."""
+    bad_column = "the row-major filling of shape (2^2,1)-(1^2) with content (2,1)"
+    with pytest.raises(RuntimeError, match=re.escape(bad_column)):
+        detection._certificate(Partition((2, 2, 1)), Partition((1, 1)), Partition((2, 1)))
+    assert lr_coefficient((1, 1), (2, 1), (2, 2, 1)) == 1
+    with pytest.raises(RuntimeError, match=re.escape("shape (2^2)-(1) with content (1^2)")):
+        detection._certificate(Partition((2, 2)), Partition((1,)), Partition((1, 1)))
+
+
+def test_a_failed_pour_exits_4_and_fails_its_sweep_entry(monkeypatch, capsys):
+    """Should a pour ever fail its check, `detect` exits 4 and `verify
+    even` records a failed entry with the message."""
+    from tensorcube.cli import main
+    monkeypatch.setattr(detection, "is_lr_tableau", lambda t: False)
+    assert main(["detect", "4,4"]) == 4
+    message = "the row-major filling of shape (4^2)-(2^2) with content (2^2) is not an LR tableau"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    entry = next(e for e in verify_even_theorem(4).entries if e["lambda"] == "2^2")
+    assert (entry["ok"], entry["error"]) == (False, "the row-major filling of shape (2^2)-(1^2) "
+                                                    "with content (1^2) is not an LR tableau")
+
+
+def test_family_witnesses_run_no_tableau_search(monkeypatch):
+    """Building and validating every family witness of even size up to 12
+    never enters the tableau search."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("a witness searched for a tableau")
+
+    monkeypatch.setattr(tableaux, "_walk", no_search)
+    for lam, builder in every_recipe(12):
+        assert detection._witness_ok(lam, builder(lam)), lam
 
 
 # --- verdicts ---
@@ -326,6 +394,17 @@ def test_sweep_rejects_out_of_bounds():
         verify_even_theorem(EVEN_SWEEP_LIMIT + 2)
     with pytest.raises(ValueError):
         verify_odd_theorem(-1)
+    # a size or worker count that is not an int, a bool included, is
+    # refused by name, and so is a worker count below 1
+    for sweep, max_size, jobs, message in (
+            (verify_odd_theorem, True, 1, "max_size must be an int, got True"),
+            (verify_even_theorem, 2.5, 1, "max_size must be an int, got 2.5"),
+            (verify_even_theorem, 4, 1.5, "jobs must be an int, got 1.5"),
+            (verify_odd_theorem, 3, True, "jobs must be an int, got True"),
+            (verify_even_theorem, 4, 0, "jobs must be at least 1, got 0"),
+            (verify_odd_theorem, 3, -3, "jobs must be at least 1, got -3")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            sweep(max_size, jobs=jobs)
 
 
 def test_sweep_parallel_matches_serial():

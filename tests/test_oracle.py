@@ -57,6 +57,16 @@ def test_schur_rejects_too_few_variables():
         schur_polynomial((1, 1, 1), 2)
 
 
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_oracle_refuses_a_variable_count_that_is_not_an_int(bad):
+    """The message names the oracle's own argument, not the letter bound
+    of the tableau search underneath."""
+    with pytest.raises(ValueError, match=rf"^nvars must be an int, got {bad}$"):
+        schur_polynomial((1,), bad)
+    with pytest.raises(ValueError, match=rf"^nvars must be an int, got {bad}$"):
+        lr_via_polynomials((1,), (1,), (2,), nvars=bad)
+
+
 def test_polynomial_multiplication():
     x = MultiDegreePolynomial(2, {(1, 0): 1, (0, 1): 1})
     sq = x * x

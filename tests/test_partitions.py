@@ -1,6 +1,10 @@
 """Partition construction, text grammar, conjugation, classification,
 and bounded enumeration."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -37,6 +41,19 @@ def all_partitions(n):
 def test_constructor_strips_trailing_zeros():
     assert Partition((3, 1, 0, 0)) == Partition((3, 1))
     assert Partition((1, 0, 0)) == (1,)
+
+
+def test_constructor_strips_a_million_trailing_zeros():
+    """The zeros are stripped with one slice, not one copy per zero, so a
+    weight padded out to a large rank costs linear time. Run in a fresh
+    interpreter under a timeout, so a quadratic strip fails the test
+    instead of holding the suite."""
+    script = ("from tensorcube import Partition\n"
+              "assert Partition((1,) + (0,) * 10**6) == (1,)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("zero", [0.0, Fraction(0)], ids=["float", "fraction"])
@@ -263,6 +280,14 @@ def test_enumerate_rejects_out_of_bounds():
         list(enumerate_partitions(-1))
     with pytest.raises(ValueError):
         list(enumerate_partitions(3, max_length=0))
+    # a count that is not an int, a bool included, is refused by name
+    for kwargs, name, bad in (({"total": False}, "total", False),
+                              ({"total": 2.5}, "total", 2.5),
+                              ({"total": 3, "max_length": True}, "max_length", True),
+                              ({"total": 3, "max_length": 2.5}, "max_length", 2.5),
+                              ({"total": 3, "max_part": 2.5}, "max_part", 2.5)):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad}$"):
+            enumerate_partitions(**kwargs)
 
 
 @given(st.integers(0, 12))
