@@ -14,7 +14,7 @@ leave signed 64-bit range instead of growing silently.
 Nothing here outlives a call. Every value one Newell-Littlewood sum reads
 has one of its three labels as the outer shape, so no value is reused from
 one weight to the next: a sum keeps one ``_Expansions`` per label, which
-plans the label once, searches each inner shape once and ends with the sum.
+searches each inner shape once and ends with the sum.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .partitions import Partition, _inside, contains
-from .tableaux import SkewShape, _Plan, _tally, count_lr_fillings
+from .tableaux import SkewShape, _tally, count_lr_fillings
 
 INT64_MAX = 2**63 - 1
 
@@ -70,9 +70,9 @@ def _terms(tally: dict[tuple, int]) -> dict[tuple, int]:
 
 def _expand(outer: tuple, inners: Iterable[tuple], nletters: int) -> dict[Partition, int]:
     """The contents of the lattice fillings of outer/inner over the inner
-    shapes, on one plan of ``outer`` with letters 1..nletters, keyed by
-    partitions, degrees descending and reverse-lex within each degree."""
-    terms = _terms(_tally(_Plan(outer, nletters, True), inners))
+    shapes with letters 1..nletters, keyed by partitions, degrees
+    descending and reverse-lex within each degree."""
+    terms = _terms(_tally(outer, inners, nletters, True))
     return {Partition(beta): terms[beta]
             for beta in sorted(sorted(terms, reverse=True), key=sum, reverse=True)}
 
@@ -81,19 +81,18 @@ class _Expansions(dict):
     """s_{outer/inner} by inner shape: ``self[inner]``, for a plain
     partition ``inner``, is keyed by plain tuples in the order the search
     first meets them, and empty when the inner shape does not fit. Each
-    inner shape is searched on first use, all on one plan of ``outer``, and
-    both end with the object."""
+    inner shape is searched on first use, and its expansion ends with the
+    object."""
 
-    __slots__ = ("outer", "plan")
+    __slots__ = ("outer",)
 
     def __init__(self, outer: tuple):
         super().__init__()
         self.outer = outer
-        # row i of a lattice filling uses letters up to i + 1 only
-        self.plan = _Plan(outer, len(outer), True)
 
     def __missing__(self, inner: tuple) -> dict[tuple, int]:
-        found = self[inner] = (_terms(_tally(self.plan, [inner]))
+        # row i of a lattice filling uses letters up to i + 1 only
+        found = self[inner] = (_terms(_tally(self.outer, [inner], len(self.outer), True))
                                if _inside(inner, self.outer) else {})
         return found
 

@@ -6,18 +6,17 @@ c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles. One walk over
 alpha and the terms beta of s_{lam/alpha} serves the count and the
 support listing: the count adds the first factor times the dot product of
 s_{mu/alpha} with s_{nu/beta} without listing the triangles, and the
-listing joins the two expansions on gamma. The walk plans each distinct
-label once for all the inner shapes of its expansions, refuses a search
-past the depth budget before listing the alphas, and keys the expansions
-by plain tuples; partitions are built only for the
-triangles that leave the module. The count takes each dot product once,
-and runs on the conjugate labels when they have fewer rows. The stable
-decomposition is the same sum as symmetric functions, the sum over alpha of
-s_{lam/alpha} * s_{mu/alpha}: one disconnected outer shape, planned once,
-with one inner shape per alpha, letters capped at the rank, all read as
-one expansion by the routine that builds the skew expansions, and not
-memoized. The sums memoize only within one call, so nothing they keep
-outlives it.
+listing joins the two expansions on gamma. The walk keeps one expansion
+table per distinct label, refuses a search past the depth budget before
+listing the alphas, and keys the expansions by plain tuples; partitions
+are built only for the triangles that leave the module. The count takes
+each dot product once, and runs on the conjugate labels when they have
+fewer rows. The stable decomposition is the same sum as symmetric
+functions, the sum over alpha of s_{lam/alpha} * s_{mu/alpha}: one
+disconnected outer shape with one inner shape per alpha, letters capped
+at the rank, all read as one expansion by the routine that builds the
+skew expansions, and not memoized. The sums memoize only within one call,
+so nothing they keep outlives it.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
@@ -43,8 +42,8 @@ def _walk(lam: Partition, mu: Partition, nu: Partition):
     loop and s_{nu/.}[beta] is s_{nu/beta}; nothing when the total size is
     odd or the forced sizes go negative. The expansions are keyed by plain
     tuples, betas included, in the order their search first meets them.
-    Each distinct label is planned once and each expansion searched once
-    per walk; both end with the walk."""
+    Each distinct label gets one expansion table and each expansion is
+    searched once per walk; both end with the walk."""
     twice = lam.size + mu.size - nu.size
     if twice < 0 or twice % 2:
         return
@@ -240,11 +239,11 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     terms add up to 30).
 
     Each alpha's product is one content-free walk of a disconnected shape,
-    the same outer shape for every alpha and planned once, and every
-    filling of every walk goes into one tally for the whole product, so
-    nothing is memoized. The search has at most ``rank`` letters, so the
-    weights the rank filter would drop are never found. The multiplicities
-    are checked against 64-bit range through the largest of them."""
+    the same outer shape for every alpha, and every filling of every walk
+    goes into one tally for the whole product, so nothing is memoized. The
+    search has at most ``rank`` letters, so the weights the rank filter
+    would drop are never found. The multiplicities are checked against
+    64-bit range through the largest of them."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
     for name, p in (("lambda", lam), ("mu", mu)):

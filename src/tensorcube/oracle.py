@@ -102,6 +102,8 @@ def expand_in_schur_basis(poly: MultiDegreePolynomial, degree: int,
 
     Raises when the input is inhomogeneous, or reveals itself non-symmetric
     through a leading exponent that is not weakly decreasing."""
+    _check_int("degree", degree)
+    _check_int("nvars", nvars)
     if poly.nvars != nvars:
         raise ValueError("variable counts differ")
     for exponent in poly.terms:

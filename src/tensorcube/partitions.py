@@ -260,7 +260,8 @@ def enumerate_partitions(total: int, max_length: int | None = None,
 
 def partitions_inside(bound: Iterable[int], size: int) -> list[Partition]:
     """All partitions of ``size`` whose diagram fits inside ``bound``,
-    reverse-lexicographic (largest first)."""
+    reverse-lexicographic (largest first); none for a negative ``size``."""
+    _check_int("size", size)
     bound = Partition(bound)
     found: list[Partition] = []
 

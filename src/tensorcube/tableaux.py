@@ -3,14 +3,12 @@ lattice-word conditions, and backtracking enumeration of fillings.
 
 The search core fills boxes top to bottom and right to left within each row,
 which is exactly the reading-word order: the lattice condition becomes a
-prefix property and prunes the search as early as possible. It comes in two
-parts. A plan of one outer shape holds each box once (its cell, its upper
-and right neighbours, and a letter cap from the boxes below it in its
-column), planned in one pass down to the least inner shape asked so far,
-so one plan serves every inner shape of a call. A walk then backtracks
-over one inner shape's boxes, so fillings come out in lexicographic order
-of the reading word, and has one leaf action: each filling adds 1 to a
-tally, keyed by its letter counts or, for tableaux, by its entries.
+prefix property and prunes the search as early as possible. A walk lays
+out its own skew boxes (each one's cell, its upper and right neighbours,
+and a letter cap from the boxes below it in its column), then backtracks
+over them, so fillings come out in lexicographic order of the reading
+word, and has one leaf action: each filling adds 1 to a tally, keyed by
+its letter counts or, for tableaux, by its entries.
 The same core, with the quota and lattice checks switched off, enumerates
 plain semistandard fillings (used by the polynomial cross-check).
 
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from operator import lt
 from typing import Iterable, Sequence
 
 from .partitions import Partition, _Record, _check_int, _set, contains, render
@@ -170,78 +167,42 @@ def is_lr_tableau(tableau: SkewTableau) -> bool:
 _FIRST = 2
 
 
-class _Plan:
-    """The boxes of one outer shape, planned for the search once per call
-    for all the inner shapes it is asked about, down to their floor.
+def _boxes(outer: Sequence[int], inner: Sequence[int], nletters: int,
+           lattice: bool) -> list[tuple]:
+    """The boxes of outer/inner, plain partitions, laid out for one walk in
+    reading order, their cells row-major from ``_FIRST``.
 
-    Each box is planned as ``(cell, above, right, cap)``: its index in
-    ``fill``, the indices of its upper and right neighbours, and its largest
-    possible letter, ``nletters`` minus the number of boxes below it in its
-    column. The cap is sound because column strictness gives those boxes
-    strictly larger letters, all at most ``nletters``; a larger letter here
-    has no completion, so no leaf is lost and the leaf order is unchanged.
-    With ``lattice`` the cap of row i is at most i + 1 as well: the row's
-    largest entry is read right after rows 0..i-1, which hold letters up to
-    i only, so a lattice word allows it at most i + 1. None of the four
-    depends on the inner shape: a planned box that an inner shape covers
-    holds 0 during that walk, as the sentinel for "no box above" does, and
-    a box's right neighbour is a skew box whenever the box is one.
-
-    Every row is planned in one pass down to ``floor``, the componentwise
-    least inner shape asked so far (``outer`` before any), its cells
-    row-major from ``_FIRST``; an inner shape below the floor in some row
-    lowers it, and the whole shape is planned again. So the plan's memory
-    follows the skew boxes searched, never ``|outer|``, and a plan of one
-    inner shape holds just its skew boxes, row-major. ``rows[i]`` holds row
-    ``i``'s boxes right to left, so an inner shape's boxes in reading order
-    are a prefix of each row."""
-
-    __slots__ = ("outer", "size", "nletters", "lattice", "floor", "rows", "cells")
-
-    def __init__(self, outer: Sequence[int], nletters: int, lattice: bool):
-        self.outer = outer
-        self.size = sum(outer)
-        self.nletters = nletters
-        self.lattice = lattice
-        self.floor = tuple(outer)
-        self.rows: list[list[tuple]] = []
-        self.cells = _FIRST  # the length of ``fill``
-
-    def boxes(self, inner: Sequence[int]) -> list[tuple]:
-        """The boxes of outer/inner in reading order, planning the shape
-        again first if ``inner`` goes below the floor."""
-        inner = tuple(inner) + (0,) * (len(self.outer) - len(inner))
-        if any(map(lt, inner, self.floor)):
-            self._build(tuple(map(min, inner, self.floor)))
-        found: list[tuple] = []
-        for row, hi, lo in zip(self.rows, self.outer, inner):
-            found += row[:hi - lo]
-        return found
-
-    def _build(self, floor: tuple) -> None:
-        """Plan every row from scratch, down to ``floor``."""
-        outer, nletters, lattice = self.outer, self.nletters, self.lattice
-        steps = [-part for part in outer]  # ascending, for bisect
-        rows: list[list[tuple]] = []
-        cells = _FIRST
-        # the row above holds the cells up + j of columns j >= up_lo; none
-        # above row 0
-        up, up_lo = 0, outer[0]
-        for i, (hi, lo) in enumerate(zip(outer, floor)):
-            base = cells - lo  # the cell of column j is base + j
-            cells += hi - lo
-            top = i + 1 if lattice else nletters
-            row: list[tuple] = []
-            right = 1
-            for j in range(hi - 1, lo - 1, -1):
-                # nletters less the boxes below: the rows past i that reach column j
-                cap = nletters + 1 + i - bisect_left(steps, -j)
-                row.append((base + j, up + j if j >= up_lo else 0, right,
-                            top if cap > top else cap))
-                right = base + j
-            rows.append(row)
-            up, up_lo = base, lo
-        self.floor, self.rows, self.cells = floor, rows, cells
+    Each box is ``(cell, above, right, cap)``: its index in ``fill``, the
+    indices of its upper and right neighbours (0 and 1, the sentinels, when
+    that neighbour is not a skew box), and its largest possible letter,
+    ``nletters`` minus the number of boxes below it in its column. The cap
+    is sound because column strictness gives those boxes strictly larger
+    letters, all at most ``nletters``; a larger letter here has no
+    completion, so no leaf is lost and the leaf order is unchanged. With
+    ``lattice`` the cap of row i is at most i + 1 as well: the row's largest
+    entry is read right after rows 0..i-1, which hold letters up to i only,
+    so a lattice word allows it at most i + 1. Only the skew boxes are laid
+    out, so a walk's memory follows its box count, never ``|outer|``."""
+    steps = [-part for part in outer]  # ascending, for bisect
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    boxes: list[tuple] = []
+    cells = _FIRST
+    # the row above holds the cells up + j of columns j >= up_lo; none
+    # above row 0
+    up, up_lo = 0, outer[0] if outer else 0
+    for i, (hi, lo) in enumerate(zip(outer, inner)):
+        base = cells - lo  # the cell of column j is base + j
+        cells += hi - lo
+        top = i + 1 if lattice else nletters
+        right = 1
+        for j in range(hi - 1, lo - 1, -1):
+            # nletters less the boxes below: the rows past i that reach column j
+            cap = nletters + 1 + i - bisect_left(steps, -j)
+            boxes.append((base + j, up + j if j >= up_lo else 0, right,
+                          top if cap > top else cap))
+            right = base + j
+        up, up_lo = base, lo
+    return boxes
 
 
 def _check_depth(size: int) -> None:
@@ -253,14 +214,15 @@ def _check_depth(size: int) -> None:
                          f"more than its depth budget of {budget}")
 
 
-def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
-          tally: dict, fillings: bool = False) -> None:
-    """Backtracking core: every filling of plan.outer/inner, a plain
-    partition that the caller has checked, in the reading-word box order
-    and in lexicographic order of the reading word. Each filling adds 1 to
-    ``tally[tuple(counts)]``, or, with ``fillings``, to ``tally[tuple(fill)]``.
+def _walk(outer: Sequence[int], inner: Sequence[int], nletters: int, lattice: bool,
+          quota: Sequence[int] | None, tally: dict, fillings: bool = False) -> None:
+    """Backtracking core: every filling of outer/inner, plain partitions
+    that the caller has checked, with letters 1..nletters, in the
+    reading-word box order and in lexicographic order of the reading word.
+    Each filling adds 1 to ``tally[tuple(counts)]``, or, with ``fillings``,
+    to ``tally[tuple(fill)]``.
 
-    ``fill`` holds the entries in the plan's cells (see :class:`_Plan`).
+    ``fill`` holds the entries in the cells :func:`_boxes` lays out.
     ``counts[x]`` tallies the letter ``x``; it doubles as the lattice prefix
     tally because boxes are filled in reading order, and ``counts[0]`` is a
     sentinel ``size + 1``, larger than any tally, so the letter 1 always
@@ -268,23 +230,21 @@ def _walk(plan: _Plan, inner: Sequence[int], quota: Sequence[int] | None,
 
     ``quota`` fixes the per-letter box counts (None leaves them free, as a
     quota of ``size + 1`` that no tally reaches), and a quota whose total is
-    not the box count has no filling; on a plan without ``lattice`` the
-    lattice test compares against a row of such ceilings instead.
-
-    A shape with more boxes than the depth budget (see
-    :func:`_check_depth`) is refused before anything of it is planned.
+    not the box count has no filling; without ``lattice`` the lattice test
+    compares against a row of such ceilings instead. A shape with more
+    boxes than the depth budget (see :func:`_check_depth`) is refused
+    before any of its boxes is laid out.
     """
-    size = plan.size - sum(inner)
+    size = sum(outer) - sum(inner)
     if quota is not None and sum(quota) != size:
         return
     _check_depth(size)
-    boxes = plan.boxes(inner)
-    nletters = plan.nletters
-    fill = [0] * plan.cells
+    boxes = _boxes(outer, inner, nletters, lattice)
+    fill = [0] * (size + _FIRST)
     fill[1] = nletters
     counts = [size + 1] + [0] * nletters
     ceiling = [0, *quota] if quota is not None else [size + 1] * (nletters + 1)
-    bar = counts if plan.lattice else [size + 1] * (nletters + 1)
+    bar = counts if lattice else [size + 1] * (nletters + 1)
     key = fill if fillings else counts
     get = tally.get
     last = size - 1
@@ -320,22 +280,23 @@ def _count(outer: Sequence[int], inner: Sequence[int], quota: Sequence[int],
     """Number of fillings of outer/inner with content ``quota``: every leaf
     has that content, so the tally has at most one key."""
     tally: dict[tuple, int] = {}
-    _walk(_Plan(outer, len(quota), lattice), inner, quota, tally)
+    _walk(outer, inner, len(quota), lattice, quota, tally)
     return sum(tally.values())
 
 
-def _tally(plan: _Plan, inners: Iterable[Sequence[int]]) -> dict[tuple, int]:
-    """The content of every filling of plan.outer/inner, over the inner
-    shapes, with letters 1..plan.nletters, tallied into one dict in the
-    order the search first meets each content. On a lattice plan a content
-    is a partition, keyed as a plain tuple without zeros; otherwise it is
-    the full length-``plan.nletters`` vector of letter counts."""
+def _tally(outer: Sequence[int], inners: Iterable[Sequence[int]], nletters: int,
+           lattice: bool) -> dict[tuple, int]:
+    """The content of every filling of outer/inner, over the inner shapes,
+    with letters 1..nletters, tallied into one dict in the order the search
+    first meets each content. With ``lattice`` a content is a partition,
+    keyed as a plain tuple without zeros; otherwise it is the full
+    length-``nletters`` vector of letter counts."""
     tally: dict[tuple, int] = {}
     for inner in inners:
-        _walk(plan, inner, None, tally)
+        _walk(outer, inner, nletters, lattice, None, tally)
     # a lattice word's content is weakly decreasing, so its zeros are a
     # suffix: one slice drops them with the sentinel
-    return {found[1:found.index(0) if plan.lattice and found[-1] == 0 else None]: n
+    return {found[1:found.index(0) if lattice and found[-1] == 0 else None]: n
             for found, n in tally.items()}
 
 
@@ -355,7 +316,7 @@ def _collect(shape: SkewShape, nletters: int, quota: Sequence[int] | None,
     """Every filling of ``shape``, as tableaux in the search's order."""
     cuts = [slice(a + _FIRST, b + _FIRST) for a, b in _cuts(shape)]
     tally: dict[tuple, int] = {}
-    _walk(_Plan(shape.outer, nletters, lattice), shape.inner, quota, tally, True)
+    _walk(shape.outer, shape.inner, nletters, lattice, quota, tally, True)
     # each fill is dropped as its tableau is made, so the two are not all
     # held at once
     fills = list(reversed(tally))
@@ -411,7 +372,7 @@ def semistandard_content_counts(shape: SkewShape, max_entry: int) -> dict[tuple[
     """Histogram of contents over all semistandard fillings with entries in
     1..max_entry; keys are full length-``max_entry`` count vectors."""
     _check_max_entry(max_entry)
-    return _tally(_Plan(shape.outer, max_entry, False), [shape.inner])
+    return _tally(shape.outer, [shape.inner], max_entry, False)
 
 
 # The most cells a diagram is drawn with, inner boxes included: a larger

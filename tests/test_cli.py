@@ -221,10 +221,9 @@ def run_capped(argv):
     (["nl", "10000000000,1", "10000000000,1", "2"], "2\n"),
 ], ids=["lr", "nl", "nl-two-rows"])
 def test_wide_one_box_search_answers_under_a_memory_cap(argv, out):
-    """A search plans only the columns that hold skew boxes, so a one-box
-    search on a shape ten billion columns wide answers within a 2 GB
-    address space; with two rows its plan is built again for the second
-    inner shape, and the two alphas are listed without trying the parts
+    """A search lays out only its skew boxes, so a one-box search on a
+    shape ten billion columns wide answers within a 2 GB address space;
+    with two rows the two alphas are listed without trying the parts
     between."""
     proc = run_capped(argv)
     assert (proc.returncode, proc.stdout) == (0, out), proc.stderr

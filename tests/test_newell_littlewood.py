@@ -183,63 +183,49 @@ def test_support_sum_reproduces_coefficient():
 
 def test_one_search_per_expansion_per_call(monkeypatch):
     """Each expansion is searched once per call, not once per alpha or beta
-    that reaches it, on one plan of its outer shape: for the cube of the
-    staircase, where all three labels are one shape, that is one plan and
-    one walk per distinct inner shape among the alphas and the betas, for
-    the count and the support listing alike; a second identical call keeps
-    nothing from the first and plans and searches as often again."""
+    that reaches it: for the cube of the staircase, where all three labels
+    are one shape, that is one walk of that outer shape per distinct inner
+    shape among the alphas and the betas, for the count and the support
+    listing alike; a second identical call keeps nothing from the first and
+    searches as often again."""
     lam = Partition((4, 3, 2, 1))
     alphas = partitions_inside(lam, lam.size // 2)
     betas = {beta for alpha in alphas for beta in lr.skew_expansion(lam, alpha)}
     expected = sorted(set(alphas) | betas)
-    planned, searched = [], []
+    searched = []
 
-    def plan(self, outer, *args):
-        planned.append(outer)
-        init(self, outer, *args)
-
-    def counted(plan, inner, *args):
+    def counted(outer, inner, *args):
         searched.append(Partition(inner))
-        assert plan.outer == lam
-        return walk(plan, inner, *args)
+        assert outer == lam
+        return walk(outer, inner, *args)
 
-    init, walk = tableaux._Plan.__init__, tableaux._walk
-    monkeypatch.setattr(tableaux._Plan, "__init__", plan)
+    walk = tableaux._walk
     monkeypatch.setattr(tableaux, "_walk", counted)
     for _ in range(2):
-        planned.clear()
         searched.clear()
         assert nl_coefficient(lam, lam, lam) == 324
-        assert planned == [lam]
         assert sorted(searched) == expected
-    planned.clear()
     searched.clear()
     assert len(nl_sum_support(lam, lam, lam)) == 81
-    assert planned == [lam]
     assert sorted(searched) == expected
 
 
-def test_one_plan_per_label_and_one_walk_per_expansion(monkeypatch):
+def test_one_walk_per_expansion_of_each_label(monkeypatch):
     """With lam = nu the alphas (size 2) and the betas (size 4) are inner
-    shapes of one outer shape: it is planned once, and reaches further as
-    the betas come in; every expansion is walked once."""
+    shapes of one outer shape, and only the two labels are outer shapes;
+    every expansion is walked once."""
     lam, mu = Partition((3, 2, 1)), Partition((2, 2))
     expected = nl_coefficient_full(lam, mu, lam)
-    planned, walked = [], []
+    walked = []
 
-    def plan(self, outer, *args):
-        planned.append(outer)
-        init(self, outer, *args)
+    def counted(outer, inner, *args):
+        walked.append((outer, tuple(inner)))
+        return walk(outer, inner, *args)
 
-    def counted(plan, inner, *args):
-        walked.append((plan.outer, tuple(inner)))
-        return walk(plan, inner, *args)
-
-    init, walk = tableaux._Plan.__init__, tableaux._walk
-    monkeypatch.setattr(tableaux._Plan, "__init__", plan)
+    walk = tableaux._walk
     monkeypatch.setattr(tableaux, "_walk", counted)
     assert nl_coefficient(lam, mu, lam) == expected > 0
-    assert sorted(planned) == [mu, lam]
+    assert {outer for outer, _ in walked} == {mu, lam}
     assert len(walked) == len(set(walked))
     assert {len(inner) and sum(inner) for outer, inner in walked if outer == lam} == {2, 4}
 
@@ -533,27 +519,22 @@ def test_decomposition_matches_the_stored_expansion_route():
 
 def test_decomposition_searches_once_per_alpha_and_stores_nothing(monkeypatch):
     """One content-free search per alpha inside the meet (the 42 partitions
-    inside the staircase), all on one plan of the shared outer shape and
-    tallied together; a second decomposition keeps nothing from the first
-    and plans and searches as often again."""
+    inside the staircase), all of the shared outer shape and tallied
+    together; a second decomposition keeps nothing from the first and
+    searches as often again."""
     lam = Partition((4, 3, 2, 1))
-    planned, searches = [], []
-
-    def plan(self, outer, *args):
-        planned.append(outer)
-        init(self, outer, *args)
+    searches = []
 
     def counted(*args):
         searches.append(args)
         return walk(*args)
 
-    init, walk = tableaux._Plan.__init__, tableaux._walk
-    monkeypatch.setattr(tableaux._Plan, "__init__", plan)
+    walk = tableaux._walk
     monkeypatch.setattr(tableaux, "_walk", counted)
     for _ in range(2):
-        del planned[:], searches[:]
+        del searches[:]
         res = tensor_decompose(lam, lam, GroupSpec("C", 8))
-        assert len(planned) == 1 and len(searches) == 42
+        assert len(searches) == 42 and len({args[0] for args in searches}) == 1
         assert res.stable and sum(res.terms.values()) > 0
 
 

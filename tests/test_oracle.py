@@ -101,6 +101,17 @@ def test_expand_rejects_inhomogeneous_input():
         expand_in_schur_basis(poly, 1, 2)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_expand_refuses_counts_that_are_not_ints(bad):
+    """The degree and the variable count are ints: a bool or a float that
+    compares equal to the right count is refused by name, on a polynomial
+    with terms and on the zero polynomial alike."""
+    with pytest.raises(ValueError, match=f"^degree must be an int, got {bad!r}$"):
+        expand_in_schur_basis(schur_polynomial((1,), 2), bad, 2)
+    with pytest.raises(ValueError, match=f"^nvars must be an int, got {bad!r}$"):
+        expand_in_schur_basis(MultiDegreePolynomial(1, {}), 0, bad)
+
+
 # --- LR via polynomials ---
 
 def test_polynomial_route_degree_two():

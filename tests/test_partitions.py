@@ -273,6 +273,15 @@ def test_partitions_inside_matches_filtered_enumeration():
                 assert partitions_inside(bound, n) == expected, (bound, n)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, 2.0])
+def test_partitions_inside_refuses_a_size_that_is_not_an_int(bad):
+    """A size that is not an int, a bool included, is refused by name; a
+    negative size has no partitions."""
+    with pytest.raises(ValueError, match=f"^size must be an int, got {bad!r}$"):
+        partitions_inside((2, 2), bad)
+    assert partitions_inside((2, 2), -1) == []
+
+
 def test_enumerate_rejects_out_of_bounds():
     with pytest.raises(ValueError):
         list(enumerate_partitions(65))

@@ -5,9 +5,7 @@ import copy
 import functools
 import itertools
 import pickle
-import random
 import re
-from operator import le
 
 import pytest
 
@@ -189,8 +187,8 @@ def test_count_zero_on_size_mismatch():
 
 def test_search_refuses_shapes_past_its_depth_budget():
     """The search recurses once per box: a shape with more boxes than the
-    recursion limit less the callers' margin is refused before it is
-    planned, while a content of the wrong size still gives 0 at any size."""
+    recursion limit less the callers' margin is refused before its boxes
+    are laid out, while a content of the wrong size still gives 0 at any size."""
     with pytest.raises(ValueError, match="fill 997 boxes, more than its depth budget"):
         count_lr_fillings(SkewShape((1994,), (997,)), (997,))
     with pytest.raises(ValueError, match="depth budget"):
@@ -205,7 +203,7 @@ def test_tally_keys_are_contents():
     sentinel, so no caller needs to know it."""
     for shape in skew_shapes(7):
         outer, inner = shape.outer, shape.inner
-        lattice = tableaux._tally(tableaux._Plan(outer, len(outer), True), [inner])
+        lattice = tableaux._tally(outer, [inner], len(outer), True)
         assert lattice, shape
         for key, n in lattice.items():
             assert all(part > 0 for part in key), (shape, key)
@@ -213,28 +211,35 @@ def test_tally_keys_are_contents():
             assert sum(key) == shape.size, (shape, key)
             assert n == count_lr_fillings(shape, key), (shape, key)
         for k in range(4):
-            plain = tableaux._tally(tableaux._Plan(outer, k, False), [inner])
+            plain = tableaux._tally(outer, [inner], k, False)
             assert all(len(key) == k for key in plain), (shape, k)
 
 
 @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "plain"])
-def test_shared_plan_tallies_as_a_fresh_plan_in_any_order(lattice):
-    """One plan walked over many inner shapes, in any order, gives each the
-    tally of a plan of that shape alone, though the plan is built again
-    whenever an inner shape goes below the earlier ones in some row."""
-    rng = random.Random(1)
-    for n in range(8):
-        for outer in gen_partitions(n):
-            inners = [inner for m in range(n + 1) for inner in gen_partitions(m)
-                      if len(inner) <= len(outer) and all(map(le, inner, outer))]
-            nletters = len(outer) if lattice else 3
-            alone = {inner: tableaux._tally(tableaux._Plan(outer, nletters, lattice), [inner])
-                     for inner in inners}
-            shuffled = rng.sample(inners, len(inners))
-            for order in (inners, inners[::-1], shuffled):
-                plan = tableaux._Plan(outer, nletters, lattice)
-                for inner in order:
-                    assert tableaux._tally(plan, [inner]) == alone[inner], (outer, inner)
+def test_walk_lays_out_its_skew_boxes_in_reading_order(lattice):
+    """A walk's layout holds exactly the skew boxes, in reading order, each
+    as (cell, above, right, cap): its row-major index from _FIRST, the cells
+    of the boxes above it and to its right (0 and 1 when that box is not a
+    skew box), and nletters less the rows below it that reach its column,
+    at most i + 1 in row i of a lattice filling."""
+    for shape in skew_shapes(8):
+        outer = shape.outer
+        boxes = shape.boxes()
+        cell = {box: tableaux._FIRST + k for k, box in enumerate(boxes)}
+        reading = sorted(boxes, key=lambda box: (box[0], -box[1]))
+        for nletters in {len(outer), 3}:
+            expected = []
+            for i, j in reading:
+                cap = nletters - sum(part > j for part in outer[i + 1:])
+                expected.append((cell[i, j], cell.get((i - 1, j), 0), cell.get((i, j + 1), 1),
+                                 min(cap, i + 1) if lattice else cap))
+            got = tableaux._boxes(outer, shape.inner, nletters, lattice)
+            assert got == expected, (shape, nletters)
+
+
+def test_wide_walk_lays_out_one_box():
+    """A one-box shape ten billion columns wide is laid out as its one box."""
+    assert tableaux._boxes((10**10,), (10**10 - 1,), 1, True) == [(2, 0, 1, 1)]
 
 
 def test_enumeration_outputs_are_lr():
@@ -314,7 +319,7 @@ def test_ssyt_count_row():
 ])
 def test_ssyt_refuses_a_bad_max_entry(bad, message):
     """A letter bound that is not a non-negative int (a float or a bool) is
-    refused at the boundary, by name, before the search is planned."""
+    refused at the boundary, by name, before the search starts."""
     for run in (enumerate_semistandard_tableaux, semistandard_content_counts):
         with pytest.raises(ValueError, match=re.escape(message)):
             run(SkewShape((2, 1), ()), bad)
