@@ -278,7 +278,7 @@ def _sweep(theorem: str, entry: Callable, limit: int, max_size: int, jobs: int) 
         raise ValueError(f"max_size must be between 0 and {limit}, got {max_size}")
     lams = [lam for size in range(1 if theorem == "odd" else 0, max_size + 1, 2)
             for lam in enumerate_partitions(size)]
-    entries = _map(entry, lams, jobs)
+    entries = _map(entry, lams[::-1], jobs)[::-1]  # heaviest first: no worker ends on them
     failures = [e for e in entries if not e["ok"]]
     return SweepReport(theorem, max_size, len(entries), entries, failures, {}, [])
 

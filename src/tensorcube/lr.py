@@ -3,13 +3,13 @@
 Enumeration of lattice-word fillings is the single production algorithm,
 with the content fixed (one coefficient) or free (every expansion, of a
 skew shape or of a whole product, read by one routine off the search's
-content tally, which comes keyed by plain partitions as tuples). Since c(lam, mu; nu) = c(mu, lam; nu), a coefficient is
-counted on its smaller side: nu less the larger lower shape, filled with
-the smaller one as content, so the search fills min(|lam|, |mu|) boxes.
-The ``oracle`` module recomputes the same numbers through symmetric
-polynomial arithmetic so the test suite can cross-validate.
-Values are exact non-negative integers, and the arithmetic refuses to
-leave signed 64-bit range instead of growing silently.
+content tally, keyed by plain partitions as tuples). Since c(lam, mu; nu) =
+c(mu, lam; nu), a coefficient is counted on its smaller side: nu less the
+larger lower shape, filled with the smaller one as content, so the search
+fills min(|lam|, |mu|) boxes. The ``oracle`` module recomputes the same
+numbers through symmetric polynomial arithmetic so the test suite can
+cross-validate. Values are exact non-negative integers, and the arithmetic
+refuses to leave signed 64-bit range instead of growing silently.
 
 Nothing here outlives a call. Every value one Newell-Littlewood sum reads
 has one of its three labels as the outer shape, so no value is reused from
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .partitions import Partition, _inside, contains
+from .partitions import Partition, _inside, _made
 from .tableaux import SkewShape, _tally, count_lr_fillings
 
 INT64_MAX = 2**63 - 1
@@ -54,7 +54,7 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     lam_size, mu_size = lam.size, mu.size
     if nu.size != lam_size + mu_size:
         return 0
-    if not contains(lam, nu) or not contains(mu, nu):
+    if not (_inside(lam, nu) and _inside(mu, nu)):
         return 0
     small, large = _smaller_first(lam, mu, lam_size, mu_size)
     return checked(count_lr_fillings(SkewShape(nu, large), small))
@@ -70,10 +70,10 @@ def _terms(tally: dict[tuple, int]) -> dict[tuple, int]:
 
 def _expand(outer: tuple, inners: Iterable[tuple], nletters: int) -> dict[Partition, int]:
     """The contents of the lattice fillings of outer/inner over the inner
-    shapes with letters 1..nletters, keyed by partitions, degrees
-    descending and reverse-lex within each degree."""
+    shapes with letters 1..nletters, keyed by partitions (partitions._made
+    builds them unchecked), degrees descending and reverse-lex within each degree."""
     terms = _terms(_tally(outer, inners, nletters, True))
-    return {Partition(beta): terms[beta]
+    return {_made(beta): terms[beta]
             for beta in sorted(sorted(terms, reverse=True), key=sum, reverse=True)}
 
 
@@ -103,7 +103,7 @@ def skew_expansion(outer: Iterable[int], inner: Iterable[int]) -> dict[Partition
     dict on every call, its terms in reverse-lex order."""
     outer, inner = Partition(outer), Partition(inner)
     # row i of a lattice filling uses letters up to i + 1 only
-    return _expand(outer, [inner] if contains(inner, outer) else [], len(outer))
+    return _expand(outer, [inner] if _inside(inner, outer) else [], len(outer))
 
 
 def clear_cache() -> None:

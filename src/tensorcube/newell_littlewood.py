@@ -3,20 +3,17 @@ symplectic and even orthogonal families.
 
 The constant pairing three partitions sums c(alpha, beta -> lam) *
 c(alpha, gamma -> mu) * c(beta, gamma -> nu) over triangles. One walk over
-alpha and the terms beta of s_{lam/alpha} serves the count and the
-support listing: the count adds the first factor times the dot product of
-s_{mu/alpha} with s_{nu/beta} without listing the triangles, and the
-listing joins the two expansions on gamma. The walk keeps one expansion
-table per distinct label, refuses a search past the depth budget before
-listing the alphas, and keys the expansions by plain tuples; partitions
-are built only for the triangles that leave the module. The count takes
-each dot product once, and runs on the conjugate labels when they have
-fewer rows. The stable decomposition is the same sum as symmetric
-functions, the sum over alpha of s_{lam/alpha} * s_{mu/alpha}: one
-disconnected outer shape with one inner shape per alpha, letters capped
-at the rank, all read as one expansion by the routine that builds the
-skew expansions, and not memoized. The sums memoize only within one call,
-so nothing they keep outlives it.
+alpha and the terms beta of s_{lam/alpha} serves the count, which adds the
+first factor times the dot product of s_{mu/alpha} with s_{nu/beta} (each
+once, on the conjugate labels when they have fewer rows), and the support
+listing, which joins the two expansions on gamma. The walk keeps one
+expansion table per label, keyed by plain tuples, and refuses a search past
+the depth budget before listing the alphas; partitions are built, unchecked,
+only for the triangles that leave the module. The stable decomposition is
+the same sum as symmetric functions, the sum over alpha of s_{lam/alpha} *
+s_{mu/alpha}: one disconnected outer shape with one inner shape per alpha,
+letters capped at the rank, read as one expansion by the routine that
+builds the skew expansions. Nothing the sums keep outlives their call.
 The constant is fully symmetric, vanishes unless the total size is even,
 and restricts to a single LR coefficient in top degree.
 """
@@ -26,13 +23,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from .lr import _Expansions, _expand, _smaller_first, checked, lr_coefficient
-from .partitions import Partition, _Record, _set, partitions_inside, render
+from .partitions import Partition, _made, _Record, _set, partitions_inside, render
 from .tableaux import _check_depth
 
 
 def _meet(lam: Partition, mu: Partition) -> Partition:
     """Componentwise minimum: the largest shape inside both."""
-    return Partition(min(a, b) for a, b in zip(lam, mu))
+    return _made(map(min, lam, mu))
 
 
 def _walk(lam: Partition, mu: Partition, nu: Partition):
@@ -124,12 +121,12 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     """Same value as :func:`nl_coefficient`, deliberately naive: no parity
     shortcut, no expansions; every triangle allowed by the first two factors
     is visited and each factor is a separate LR coefficient, each unordered
-    triple counted once per call."""
+    triple counted once per call and its sizes tested before the memo."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     memo: dict[tuple[Partition, Partition, Partition], int] = {}
 
-    def coefficient(a: Partition, b: Partition, c: Partition) -> int:
-        key = (*_smaller_first(a, b, a.size, b.size), c)
+    def coefficient(a: Partition, b: Partition, c: Partition, a_size: int, b_size: int) -> int:
+        key = (*_smaller_first(a, b, a_size, b_size), c)
         value = memo.get(key)
         if value is None:
             value = memo[key] = lr_coefficient(a, b, c)
@@ -138,22 +135,24 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
     meet = _meet(lam, mu)
     total = 0
     for asize in range(min(lam.size, mu.size) + 1):
-        beta_candidates = list(partitions_inside(lam, lam.size - asize))
-        gamma_candidates = list(partitions_inside(mu, mu.size - asize))
+        bsize, gsize = lam.size - asize, mu.size - asize
+        fits = bsize + gsize == nu.size  # c_ab's and c_ag's sizes fit by construction
+        beta_candidates = partitions_inside(lam, bsize)
+        gamma_candidates = partitions_inside(mu, gsize)
         for alpha in partitions_inside(meet, asize):
             betas = []
             for beta in beta_candidates:
-                cab = coefficient(alpha, beta, lam)
+                cab = coefficient(alpha, beta, lam, asize, bsize)
                 if cab:
                     betas.append((beta, cab))
             if not betas:
                 continue
             for gamma in gamma_candidates:
-                cag = coefficient(alpha, gamma, mu)
+                cag = coefficient(alpha, gamma, mu, asize, gsize)
                 if not cag:
                     continue
                 for beta, cab in betas:
-                    cbg = coefficient(beta, gamma, nu)
+                    cbg = coefficient(beta, gamma, nu, bsize, gsize) if fits else 0
                     if cbg:
                         total += cab * cag * cbg
     return checked(total)
@@ -164,7 +163,7 @@ def nl_sum_support(lam: Iterable[int], mu: Iterable[int],
     """The triangles (alpha, beta, gamma) with all three factors positive, in
     deterministic reverse-lex nesting order, off the same walk as the count;
     empty when the forced sizes go negative or the total size is odd."""
-    return [(a, Partition(b), Partition(g))
+    return [(a, _made(b), _made(g))
             for a, b, g, *_ in _triangles(Partition(lam), Partition(mu), Partition(nu))]
 
 
@@ -242,8 +241,8 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     the same outer shape for every alpha, and every filling of every walk
     goes into one tally for the whole product, so nothing is memoized. The
     search has at most ``rank`` letters, so the weights the rank filter
-    would drop are never found. The multiplicities are checked against
-    64-bit range through the largest of them."""
+    would drop are never found; ``partitions._made`` builds the weights
+    unchecked, and the largest multiplicity is checked against 64-bit range."""
     lam, mu = Partition(lam), Partition(mu)
     limit = group.max_weight_length
     for name, p in (("lambda", lam), ("mu", mu)):
@@ -266,9 +265,8 @@ def tensor_decompose(lam: Iterable[int], mu: Iterable[int],
     # letters 1..n, so capping the letters is the rank filter. The exact
     # decomposition below the stable range (King's modification rules) needs
     # the long terms too, and will search with len(outer) letters instead.
-    ordered = _expand(outer, inners, min(n, len(outer))).items()
-    aside = group.family == "D"
-    terms = {nu: m for nu, m in ordered if not (aside and len(nu) == n)}
-    inadmissible = {nu: m for nu, m in ordered if aside and len(nu) == n}
-    stable = len(lam) + len(mu) <= n
-    return DecompositionResult(group, lam, mu, terms, inadmissible, stable)
+    terms, inadmissible = _expand(outer, inners, min(n, len(outer))), {}
+    if group.family == "D":  # one pass sets the weights of length n aside
+        for nu in [nu for nu in terms if len(nu) == n]:
+            inadmissible[nu] = terms.pop(nu)
+    return DecompositionResult(group, lam, mu, terms, inadmissible, len(lam) + len(mu) <= n)

@@ -29,7 +29,7 @@ def _is_decimal(text: str) -> bool:
 
 
 class Partition(tuple):
-    """Weakly decreasing tuple of positive integers."""
+    """Weakly decreasing tuple of positive integers, checked unless built by :func:`_made`."""
 
     __slots__ = ()
 
@@ -74,7 +74,12 @@ class Partition(tuple):
             while self[rows - 1] <= j:  # the rows that reach column j
                 rows -= 1
             parts.append(rows)
-        return Partition(parts)
+        return _made(parts)
+
+
+def _made(parts: Iterable[int]) -> Partition:
+    """The Partition of ``parts`` that the package made valid itself, unchecked."""
+    return tuple.__new__(Partition, parts)
 
 
 def parse(text: str) -> Partition:
@@ -268,7 +273,7 @@ def partitions_inside(bound: Iterable[int], size: int) -> list[Partition]:
     def descend(i: int, remaining: int, largest: int, prefix: tuple, room: int) -> None:
         # room: the boxes of bound's rows i on
         if remaining == 0:
-            found.append(tuple.__new__(Partition, prefix))  # valid by construction
+            found.append(_made(prefix))
             return
         if i == len(bound):
             return

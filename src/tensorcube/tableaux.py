@@ -22,12 +22,9 @@ cut that also shapes the detection module's poured certificates. The tally's
 key format is known to this module alone.
 
 Tableaux are checked at the boundary: the public ``SkewTableau``
-constructor checks the row lengths and entries of every tableau built from
-outside the search, and ``is_lr_tableau`` checks the LR conditions of any
-tableau (the detection module runs it on each poured certificate, and the
-even sweep on all three certificates of every witness). The search's own
-tableaux are valid by construction, so they are built without the
-constructor's checks.
+constructor checks the row lengths and entries of a tableau built outside
+the search, ``is_lr_tableau`` the LR conditions of any tableau (each poured
+certificate). The search's own tableaux, valid by construction, skip both.
 """
 
 from __future__ import annotations

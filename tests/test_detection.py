@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,6 +17,7 @@ from tensorcube import (
     build_witness,
     classify,
     detects,
+    enumerate_partitions,
     lr_coefficient,
     nl_coefficient,
     nl_sum_support,
@@ -412,6 +414,35 @@ def test_sweep_parallel_matches_serial():
     parallel = verify_even_theorem(4, jobs=2)
     assert serial.entries == parallel.entries
     assert serial.family_tallies == parallel.family_tallies
+
+
+class ChunkCountingPool(ProcessPoolExecutor):
+    """The real process pool, recording the sizes of the weights it is
+    handed, in order, and how many chunks it cuts them into."""
+
+    handed = []
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.handed.append((-(-len(items) // chunksize), [lam.size for lam in items]))
+        return super().map(fn, items, chunksize=chunksize)
+
+
+def test_odd_sweep_does_not_depend_on_jobs(monkeypatch):
+    """The odd sweep to size 9 over two real worker processes, its weights
+    handed out heaviest first in several chunks, gives the serial sweep's
+    entries in the serial order: sizes ascending, reverse-lex within each."""
+    monkeypatch.setattr(detection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkCountingPool)
+    monkeypatch.setattr(ChunkCountingPool, "handed", [])
+    serial = verify_odd_theorem(9, jobs=1)
+    parallel = verify_odd_theorem(9, jobs=2)
+    [(chunks, sizes)] = ChunkCountingPool.handed
+    assert chunks > 2 and sizes == sorted(sizes, reverse=True)
+    assert parallel.entries == serial.entries
+    assert [e["lambda"] for e in serial.entries] == [
+        render(lam) for n in (1, 3, 5, 7, 9) for lam in enumerate_partitions(n)]
+    assert (parallel.checked, parallel.failures) == (serial.checked, serial.failures) == (56, [])
 
 
 class RecordingExecutor:

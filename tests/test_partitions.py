@@ -1,8 +1,10 @@
 """Partition construction, text grammar, conjugation, classification,
 and bounded enumeration."""
 
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ from oracles import P_TABLE, pentagonal_p, gen_partitions
 from tensorcube import (
     AllEven,
     DistinctOddEvenLength,
+    GroupSpec,
     Hook,
     Partition,
     Rectangle,
@@ -22,9 +25,13 @@ from tensorcube import (
     contains,
     enumerate_partitions,
     lr_coefficient,
+    nl_sum_support,
     parse,
     render,
+    skew_expansion,
+    tensor_decompose,
 )
+from tensorcube.newell_littlewood import _meet
 from tensorcube.partitions import partitions_inside
 
 partitions_st = st.lists(st.integers(1, 9), max_size=6).map(
@@ -90,6 +97,67 @@ def test_constructor_rejects_bool_parts():
 def test_constructor_identity_fast_path():
     p = Partition((2, 1))
     assert Partition(p) is p
+
+
+def assert_as_if_checked(p):
+    """``p`` is a Partition equal to the one the checked constructor makes
+    of its parts, and copies and pickles (through that constructor) to an
+    equal Partition."""
+    assert type(p) is Partition
+    assert p == Partition(list(p))
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is Partition and twin == p
+
+
+def decomposition_groups(lam, mu):
+    """B, C and D at the stable rank and at the smallest rank the inputs
+    fit, which is below the stable rank whenever both are nonempty."""
+    longest, total = max(len(lam), len(mu)), len(lam) + len(mu)
+    for rank in sorted({max(longest, 1), max(total, 1)}):
+        yield GroupSpec("B", rank)
+        yield GroupSpec("C", rank)
+    # D needs an even rank above the longest input
+    for rank in sorted({longest + 1, max(total, longest + 1)}):
+        yield GroupSpec("D", rank + rank % 2)
+
+
+def test_package_built_partitions_equal_checked_ones():
+    """The package builds the partitions it makes itself without the
+    constructor's checks: every term and inadmissible weight of each B, C
+    and D decomposition of combined size up to 8 at a stable and an unstable
+    rank, every skew expansion term of an outer shape up to 8 boxes, every
+    triangle of the support of labels up to 5 boxes, and every meet and
+    conjugate of partitions up to 10 boxes is the partition those checks
+    accept."""
+    built = []
+    small = [p for n in range(9) for p in all_partitions(n)]
+    stable = unstable = 0
+    for lam in small:
+        for mu in small:
+            if lam.size + mu.size > 8:
+                continue
+            for group in decomposition_groups(lam, mu):
+                result = tensor_decompose(lam, mu, group)
+                stable += result.stable
+                unstable += not result.stable
+                built += [*result.terms, *result.inadmissible]
+    assert stable > 1000 and unstable > 500
+    for outer in small:
+        for inner in small:
+            if contains(inner, outer):
+                built += skew_expansion(outer, inner)
+    labels = [p for n in range(6) for p in all_partitions(n)]
+    triangles = [t for lam in labels for mu in labels for nu in labels
+                 for t in nl_sum_support(lam, mu, nu)]
+    assert len(triangles) > 1000
+    built += [p for t in triangles for p in t]
+    upto10 = [p for n in range(11) for p in all_partitions(n)]
+    built += [_meet(lam, mu) for lam in upto10 for mu in upto10]
+    built += [p.conjugate() for p in upto10]
+    for p in built:
+        assert type(p) is Partition
+    for p in set(built):
+        assert_as_if_checked(p)
 
 
 def test_size_and_length():
