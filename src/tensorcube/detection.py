@@ -10,9 +10,9 @@ proves every recipe's pour an LR tableau, and each is still checked. The
 hook recipe's armless column (1^2k) takes the first triangle of the
 self-pairing sum, ((1^k), (1^k), (1^k)), the one witness labelled "fallback".
 
-The verification sweeps are exhaustive over bounded sizes: odd sizes must all
-vanish (checked through the unshortcut sum), and even sizes matching any
-family must be detected with a valid witness.
+The verification sweeps are exhaustive over bounded sizes: odd sizes must
+vanish through the naive sum, which searches nothing at an odd total, and
+even sizes matching any family must be detected with a valid witness.
 """
 
 from __future__ import annotations
@@ -285,14 +285,14 @@ def _sweep(theorem: str, entry: Callable, limit: int, max_size: int, jobs: int) 
 
 def verify_odd_theorem(max_size: int, jobs: int = 1) -> SweepReport:
     """Exhaustively confirm that every odd size up to ``max_size`` has a
-    vanishing self-pairing constant, via the unshortcut sum. Any failure
-    indicates an implementation bug.
-
-    The constant checked is the stable one, N(lam, lam, lam), which
-    vanishes by parity: a term of the triple sum has |lam| = |alpha| +
-    |beta| = |alpha| + |gamma| = |beta| + |gamma|, so 3|lam| is even. This
-    is not the rank-n question for SO(2n+1): there (1) is detected at
-    SO(3), since Lambda^2 V is isomorphic to V."""
+    vanishing self-pairing constant, through the naive sum. The constant is
+    the stable one, N(lam, lam, lam), which vanishes by parity: a term of
+    the sum has |lam| = |alpha| + |beta| = |alpha| + |gamma| = |beta| +
+    |gamma|, so 3|lam| is even. At an odd total the sizes force no alpha
+    size, so the sum searches no LR coefficient: the sweep confirms the size
+    argument and cannot fail through an LR value. Nor is this the rank-n
+    question for SO(2n+1), which only a rank sweep tests: there (1) is
+    detected at SO(3), since Lambda^2 V is isomorphic to V."""
     return _sweep("odd", _odd_entry, ODD_SWEEP_LIMIT, max_size, jobs)
 
 

@@ -93,10 +93,9 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     most come twice). The constant is that of the conjugate labels, so it
     counts on the conjugate side when that side has fewer rows in total,
     where the searches use fewer letters. Returns 0 immediately when the
-    total size is odd; the shortcut agrees with the full sum (the suite
-    confirms this by running the sum without it, see
-    :func:`nl_coefficient_full`). Every term is positive, so one check of
-    the total refuses exactly the sums that leave 64-bit range."""
+    total size is odd, where the sizes force no alpha size. Every term is
+    positive, so one check of the total refuses exactly the sums that leave
+    64-bit range."""
     labels = (Partition(lam), Partition(mu), Partition(nu))
     if sum(p[0] for p in labels if p) < sum(map(len, labels)):
         labels = tuple(p.conjugate() for p in labels)
@@ -118,11 +117,16 @@ def nl_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
 
 
 def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
-    """Same value as :func:`nl_coefficient`, deliberately naive: no parity
-    shortcut, no expansions; every triangle allowed by the first two factors
-    is visited and each factor is a separate LR coefficient, each unordered
-    triple counted once per call and its sizes tested before the memo."""
+    """Same value as :func:`nl_coefficient`, deliberately naive: no
+    expansions, dot-product memo or conjugation. The sizes force |alpha| =
+    (|lam| + |mu| - |nu|) / 2: an odd total has no alpha size and sums to 0,
+    else it visits every triangle whose three sizes fit, each factor a
+    separate LR coefficient and each unordered triple counted once per call."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    asize, odd = divmod(lam.size + mu.size - nu.size, 2)
+    if odd or not 0 <= asize <= min(lam.size, mu.size):
+        return 0
+    bsize, gsize = lam.size - asize, mu.size - asize
     memo: dict[tuple[Partition, Partition, Partition], int] = {}
 
     def coefficient(a: Partition, b: Partition, c: Partition, a_size: int, b_size: int) -> int:
@@ -132,29 +136,25 @@ def nl_coefficient_full(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]
             value = memo[key] = lr_coefficient(a, b, c)
         return value
 
-    meet = _meet(lam, mu)
+    beta_candidates = partitions_inside(lam, bsize)
+    gamma_candidates = partitions_inside(mu, gsize)
     total = 0
-    for asize in range(min(lam.size, mu.size) + 1):
-        bsize, gsize = lam.size - asize, mu.size - asize
-        fits = bsize + gsize == nu.size  # c_ab's and c_ag's sizes fit by construction
-        beta_candidates = partitions_inside(lam, bsize)
-        gamma_candidates = partitions_inside(mu, gsize)
-        for alpha in partitions_inside(meet, asize):
-            betas = []
-            for beta in beta_candidates:
-                cab = coefficient(alpha, beta, lam, asize, bsize)
-                if cab:
-                    betas.append((beta, cab))
-            if not betas:
+    for alpha in partitions_inside(_meet(lam, mu), asize):
+        betas = []
+        for beta in beta_candidates:
+            cab = coefficient(alpha, beta, lam, asize, bsize)
+            if cab:
+                betas.append((beta, cab))
+        if not betas:
+            continue
+        for gamma in gamma_candidates:
+            cag = coefficient(alpha, gamma, mu, asize, gsize)
+            if not cag:
                 continue
-            for gamma in gamma_candidates:
-                cag = coefficient(alpha, gamma, mu, asize, gsize)
-                if not cag:
-                    continue
-                for beta, cab in betas:
-                    cbg = coefficient(beta, gamma, nu, bsize, gsize) if fits else 0
-                    if cbg:
-                        total += cab * cag * cbg
+            for beta, cab in betas:
+                cbg = coefficient(beta, gamma, nu, bsize, gsize)
+                if cbg:
+                    total += cab * cag * cbg
     return checked(total)
 
 

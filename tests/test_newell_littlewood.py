@@ -22,6 +22,7 @@ from tensorcube import (
     nl_sum_support,
     tableaux,
     tensor_decompose,
+    verify_odd_theorem,
 )
 from tensorcube.partitions import partitions_inside
 
@@ -68,7 +69,10 @@ def test_matches_brute_force_oracle():
 
 
 def test_parity_vanishing_via_full_sum():
-    """Odd total size forces zero through the unshortcut sum, sizes <= 5."""
+    """The naive sum is zero at every odd total, sizes <= 5. There the sizes
+    force no alpha size, so this checks the size arithmetic, not an LR value:
+    test_full_sum_searches_only_the_forced_sizes shows that nothing is
+    searched."""
     for a in range(6):
         for b in range(6):
             for c in range(6):
@@ -274,6 +278,55 @@ def test_full_sum_counts_each_triple_once_per_call(monkeypatch):
             assert len(set(searched)) == len(searched) > 0, (lam, mu, nu)
             calls.append(sorted(searched))
         assert calls[0] == calls[1]
+
+
+def test_full_sum_searches_only_the_forced_sizes(monkeypatch):
+    """The naive sum searches no factor it cannot use: none at an odd total
+    of sizes <= 5 or in the odd sweep to size 13, and at an even total only
+    triples with |alpha| = (|lam| + |mu| - |nu|) / 2 and the sizes that
+    forces."""
+    searched = []
+
+    def record(shape, cont):
+        searched.append((shape.outer, shape.inner.size, sum(cont)))
+        return count_lr_fillings(shape, cont)
+
+    count_lr_fillings = lr.count_lr_fillings
+    monkeypatch.setattr(lr, "count_lr_fillings", record)
+    sized = [(n, all_partitions(n)) for n in range(6)]
+    for a, lams in sized:
+        for b, mus in sized:
+            for c, nus in sized:
+                asize = (a + b - c) // 2
+                for lam in lams:
+                    for mu in mus:
+                        for nu in nus:
+                            searched.clear()
+                            nl_coefficient_full(lam, mu, nu)
+                            if (a + b + c) % 2:
+                                assert not searched, (lam, mu, nu)
+                                continue
+                            forced = {lam: {asize, a - asize}, mu: {asize, b - asize},
+                                      nu: {a - asize, b - asize}}
+                            for outer, inner, small in searched:
+                                assert {inner, small} == forced[outer], (lam, mu, nu, outer)
+    searched.clear()
+    report = verify_odd_theorem(13)
+    assert report.checked > 0 and not report.failures
+    assert searched == []
+
+
+@pytest.mark.parametrize("lam, mu, nu, expected", [
+    ((10**10,), (10**10,), (1,), 0),
+    ((10**10,), (10**10,), (2,), 1),
+    ((10**10, 1), (10**10, 1), (2,), 2),
+    ((10**10, 1), (10**10, 1), (2, 2), 3),
+])
+def test_full_sum_on_wide_labels(lam, mu, nu, expected):
+    """Wide labels with a small third label force a large alpha, so only
+    one-box or two-box skew shapes are searched and the naive sum answers at
+    once, as the count does."""
+    assert nl_coefficient_full(lam, mu, nu) == nl_coefficient(lam, mu, nu) == expected
 
 
 def test_threads_share_no_state():
