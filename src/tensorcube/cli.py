@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_at_least(0), required=True,
                    help="largest weight size to sweep (a non-negative integer)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
-                   help="parallel workers for the sweep (a positive integer)")
+                   help="parallel workers for the even sweep (a positive integer); "
+                        "the odd sweep searches nothing and runs serially")
 
     p = sub.add_parser("render", parents=[shared],
                        help="draw a Young or skew diagram")

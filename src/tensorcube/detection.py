@@ -276,9 +276,12 @@ def _sweep(theorem: str, entry: Callable, limit: int, max_size: int, jobs: int) 
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not 0 <= max_size <= limit:
         raise ValueError(f"max_size must be between 0 and {limit}, got {max_size}")
-    lams = [lam for size in range(1 if theorem == "odd" else 0, max_size + 1, 2)
+    odd = theorem == "odd"
+    lams = [lam for size in range(1 if odd else 0, max_size + 1, 2)
             for lam in enumerate_partitions(size)]
-    entries = _map(entry, lams[::-1], jobs)[::-1]  # heaviest first: no worker ends on them
+    # heaviest first: no worker ends on them. The odd sweep's entries search
+    # nothing, so it runs serially: a pool costs more to start than it saves
+    entries = _map(entry, lams[::-1], 1 if odd else jobs)[::-1]
     failures = [e for e in entries if not e["ok"]]
     return SweepReport(theorem, max_size, len(entries), entries, failures, {}, [])
 
@@ -290,7 +293,9 @@ def verify_odd_theorem(max_size: int, jobs: int = 1) -> SweepReport:
     the sum has |lam| = |alpha| + |beta| = |alpha| + |gamma| = |beta| +
     |gamma|, so 3|lam| is even. At an odd total the sizes force no alpha
     size, so the sum searches no LR coefficient: the sweep confirms the size
-    argument and cannot fail through an LR value. Nor is this the rank-n
+    argument and cannot fail through an LR value, and it runs serially
+    whatever ``jobs`` says (``jobs`` is still checked), since a worker pool
+    costs more to start than such entries cost. Nor is this the rank-n
     question for SO(2n+1), which only a rank sweep tests: there (1) is
     detected at SO(3), since Lambda^2 V is isomorphic to V."""
     return _sweep("odd", _odd_entry, ODD_SWEEP_LIMIT, max_size, jobs)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .lr import checked
 from .partitions import Partition, _check_int, enumerate_partitions
-from .tableaux import SkewShape, _count, semistandard_content_counts
+from .tableaux import SkewShape, _walk, semistandard_content_counts
 
 DEGREE_LIMIT = 14
 
@@ -126,8 +126,12 @@ def expand_in_schur_basis(poly: MultiDegreePolynomial, degree: int,
 def _kostka(shape: Partition, cont: Partition) -> int:
     """Semistandard fillings of ``shape`` with exactly ``cont[i]`` copies of
     the letter i+1. Invariant under reordering ``cont``, so only sorted
-    contents are ever cached."""
-    return _count(shape, (), cont, False)
+    contents are ever cached. The leaf walk counts them, never the row
+    transfer, so the cross-check shares no more of the search than the
+    filling enumerator itself."""
+    tally: dict[tuple, int] = {}
+    _walk(shape, (), len(cont), False, cont, tally)
+    return sum(tally.values())
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,21 @@ its letter counts or, for tableaux, by its entries.
 The same core, with the quota and lattice checks switched off, enumerates
 plain semistandard fillings (used by the polynomial cross-check).
 
+A count of fixed content on 8 or more non-empty skew rows runs the same
+boxes and the same per-box loop as a row transfer instead: one row at a
+time, from each state of a frontier, where a state is the letter counts
+and the row's entries above the next row's boxes, all that the rows below
+read of it. Fillings that agree on a state merge into one entry with a
+multiplicity, so the cost follows the number of distinct states, not the
+count. On fewer rows the leaf walk is faster. The tableaux keep the leaf
+walk, since every filling is their output; so do the content tallies,
+whose searches are small enough that building states costs more than
+merging them saves.
+
 The core is private to the package and takes plain partitions that its
 callers have already checked. Its three leaf kinds each run it and read
-the tally: a count is its sum (LR and Kostka numbers), a content tally over
+the tally: a count is its sum (LR numbers; the oracle sums a leaf walk's
+tally itself for its Kostka numbers), a content tally over
 many inner shapes of one outer shape comes back keyed by plain contents
 (skew-Schur expansions, decompositions, content histograms), and the
 tableaux are built from the filled entries after the search, with the row
@@ -204,7 +216,9 @@ def _boxes(outer: Sequence[int], inner: Sequence[int], nletters: int,
 
 def _check_depth(size: int) -> None:
     """Refuse, with a ValueError, a search of more boxes than the recursion
-    limit less a margin for the callers' frames: it recurses once per box."""
+    limit less a margin for the callers' frames: it recurses once per box.
+    The row transfer recurses only once per box of a row, but keeps the
+    guard, so a shape is refused or searched whichever walk counts it."""
     budget = sys.getrecursionlimit() - 100
     if size > budget:
         raise ValueError(f"the tableau search would fill {size} boxes, "
@@ -212,7 +226,8 @@ def _check_depth(size: int) -> None:
 
 
 def _walk(outer: Sequence[int], inner: Sequence[int], nletters: int, lattice: bool,
-          quota: Sequence[int] | None, tally: dict, fillings: bool = False) -> None:
+          quota: Sequence[int] | None, tally: dict, fillings: bool = False,
+          by_rows: bool = False) -> None:
     """Backtracking core: every filling of outer/inner, plain partitions
     that the caller has checked, with letters 1..nletters, in the
     reading-word box order and in lexicographic order of the reading word.
@@ -231,6 +246,16 @@ def _walk(outer: Sequence[int], inner: Sequence[int], nletters: int, lattice: bo
     compares against a row of such ceilings instead. A shape with more
     boxes than the depth budget (see :func:`_check_depth`) is refused
     before any of its boxes is laid out.
+
+    With ``by_rows`` (the row transfer, not with ``fillings``) the same
+    boxes and the same per-box loop run one non-empty row at a time, from
+    each state of a frontier. A state is the letter counts and the row's
+    entries in the columns above the next non-empty row's boxes: all that
+    the rows below read of the rows above. At a row's leftmost box the
+    loop adds the state's multiplicity to the next row's frontier, where
+    equal states merge; the last row adds it to ``tally`` under the letter
+    counts, as above. The tally's values sum to the leaf walk's, from one
+    pass per state and row instead of one per filling.
     """
     size = sum(outer) - sum(inner)
     if quota is not None and sum(quota) != size:
@@ -245,6 +270,9 @@ def _walk(outer: Sequence[int], inner: Sequence[int], nletters: int, lattice: bo
     key = fill if fillings else counts
     get = tally.get
     last = size - 1
+    # a leaf adds ``weight`` under ``tuple(key)``, or, at the end of a row
+    # that carries cells to the next row, under the state
+    weight, carry = 1, None
 
     def place(k: int) -> None:
         cell, above, right, cap = boxes[k]
@@ -257,15 +285,45 @@ def _walk(outer: Sequence[int], inner: Sequence[int], nletters: int, lattice: bo
                 if k != last:
                     place(k + 1)
                 else:
-                    found = tuple(key)
-                    tally[found] = get(found, 0) + 1
+                    found = tuple(key) if carry is None else tuple(counts + fill[carry])
+                    tally[found] = get(found, 0) + weight
                 counts[x] = c
 
-    if size:
-        place(0)
-    else:  # the empty shape's one filling, recorded as above
+    if not size:  # the empty shape's one filling, recorded as above
         found = tuple(key)
         tally[found] = get(found, 0) + 1
+        return
+    if not by_rows:
+        place(0)
+        return
+    # a row's first box in reading order has no right neighbour; the cells
+    # a row carries are the upper neighbours of the next row's boxes, one
+    # run of cells, descending in reading order
+    firsts = [k for k, box in enumerate(boxes) if box[2] == 1]
+    ends = firsts[1:] + [size]
+    carries = []
+    for first, end in zip(firsts[1:], ends[1:]):
+        aboves = [box[1] for box in boxes[first:end] if box[1]]
+        carries.append(slice(aboves[-1], aboves[0] + 1) if aboves else slice(0))
+    # ``held`` is where a state's entries go in ``fill``: the cells the
+    # previous row carried
+    out, held = tally, slice(0)
+    states = {tuple(counts): 1}
+    for first, end, carry in zip(firsts, ends, carries + [None]):
+        tally = out if carry is None else {}
+        get = tally.get
+        last = end - 1
+        for state, weight in states.items():
+            counts[:] = state[:nletters + 1]
+            fill[held] = state[nletters + 1:]
+            place(first)
+        states, held = tally, carry
+
+
+# The fewest non-empty skew rows on which a count walks by rows. On the
+# benchmark's LR counts (Python 3.11) the row transfer's median time is
+# 1.5x the leaf walk's on 6 rows, 1.2x on 7, 0.7x on 8 and 0.5x on 9.
+_BY_ROWS = 8
 
 
 # The search's three leaf kinds: a count, a content tally and the tableaux.
@@ -275,9 +333,18 @@ def _walk(outer: Sequence[int], inner: Sequence[int], nletters: int, lattice: bo
 def _count(outer: Sequence[int], inner: Sequence[int], quota: Sequence[int],
            lattice: bool) -> int:
     """Number of fillings of outer/inner with content ``quota``: every leaf
-    has that content, so the tally has at most one key."""
+    has that content, so the tally has at most one key. On a shape of
+    ``_BY_ROWS`` or more non-empty rows the walk transfers states row by
+    row (see :func:`_walk`), so its cost follows the number of distinct
+    row states rather than the count; on fewer rows a state merges too
+    few fillings to pay for its building, and the leaf walk runs. Only a
+    count takes the row transfer: a content tally and the tableaux are
+    read off the leaves themselves."""
+    # a row is empty where inner fills it, and inner is no longer than outer
+    by_rows = (len(outer) >= _BY_ROWS
+               and len(outer) - sum(a == b for a, b in zip(outer, inner)) >= _BY_ROWS)
     tally: dict[tuple, int] = {}
-    _walk(outer, inner, len(quota), lattice, quota, tally)
+    _walk(outer, inner, len(quota), lattice, quota, tally, by_rows=by_rows)
     return sum(tally.values())
 
 

@@ -184,9 +184,10 @@ def test_detect_too_many_parts_exits_2(capsys):
 
 @pytest.mark.parametrize("argv, boxes", [
     (["lr", "997", "997", "1994"], 997),
+    (["lr", "125^8", "125^8", "250^8"], 1000),
     (["detect", "1998"], 999),
     (["decompose", "1000", "1", "--family", "C", "--rank", "2"], 1001),
-], ids=["lr", "detect", "decompose"])
+], ids=["lr", "lr-eight-rows", "detect", "decompose"])
 def test_search_past_its_depth_budget_exits_2(capsys, argv, boxes):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -219,12 +220,13 @@ def run_capped(argv):
     (["lr", "10000000000", "1", "10000000001"], "1\n"),
     (["nl", "10000000000", "10000000000", "2"], "1\n"),
     (["nl", "10000000000,1", "10000000000,1", "2"], "2\n"),
-], ids=["lr", "nl", "nl-two-rows"])
+    (["lr", "10000000000", "1^8", "10000000001,1^7"], "1\n"),
+], ids=["lr", "nl", "nl-two-rows", "lr-eight-rows"])
 def test_wide_one_box_search_answers_under_a_memory_cap(argv, out):
     """A search lays out only its skew boxes, so a one-box search on a
     shape ten billion columns wide answers within a 2 GB address space;
     with two rows the two alphas are listed without trying the parts
-    between."""
+    between, and a count of eight one-box rows walks by rows."""
     proc = run_capped(argv)
     assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
 
@@ -387,9 +389,13 @@ def _loaded_after(argv, watched):
 
 
 def test_serial_sweep_never_loads_the_process_pool():
-    loaded = _loaded_after(["verify", "even", "--max-size", "4"],
-                           ["concurrent.futures", "multiprocessing", "tensorcube.oracle"])
-    assert loaded == []
+    """Neither a sweep at one worker nor the odd sweep, which runs serially
+    at any ``--jobs``, loads the pool's modules."""
+    for argv in (["verify", "even", "--max-size", "4"],
+                 ["verify", "odd", "--max-size", "9", "--jobs", "2"]):
+        loaded = _loaded_after(argv, ["concurrent.futures", "multiprocessing",
+                                      "tensorcube.oracle"])
+        assert loaded == [], argv
 
 
 @pytest.mark.parametrize("argv, absent", [

@@ -429,20 +429,36 @@ class ChunkCountingPool(ProcessPoolExecutor):
 
 
 def test_odd_sweep_does_not_depend_on_jobs(monkeypatch):
-    """The odd sweep to size 9 over two real worker processes, its weights
-    handed out heaviest first in several chunks, gives the serial sweep's
-    entries in the serial order: sizes ascending, reverse-lex within each."""
+    """The odd sweep searches nothing, so it starts no worker pool at any
+    ``jobs``; at 1 and 2 it gives the same entries in the serial order:
+    sizes ascending, reverse-lex within each."""
     monkeypatch.setattr(detection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkCountingPool)
     monkeypatch.setattr(ChunkCountingPool, "handed", [])
     serial = verify_odd_theorem(9, jobs=1)
     parallel = verify_odd_theorem(9, jobs=2)
-    [(chunks, sizes)] = ChunkCountingPool.handed
-    assert chunks > 2 and sizes == sorted(sizes, reverse=True)
+    assert ChunkCountingPool.handed == []
     assert parallel.entries == serial.entries
     assert [e["lambda"] for e in serial.entries] == [
         render(lam) for n in (1, 3, 5, 7, 9) for lam in enumerate_partitions(n)]
     assert (parallel.checked, parallel.failures) == (serial.checked, serial.failures) == (56, [])
+
+
+def test_even_sweep_hands_out_heaviest_first(monkeypatch):
+    """The even sweep to size 8 over two real worker processes, its weights
+    handed out heaviest first in several chunks, gives the serial sweep's
+    entries in the serial order: sizes ascending, reverse-lex within each."""
+    monkeypatch.setattr(detection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkCountingPool)
+    monkeypatch.setattr(ChunkCountingPool, "handed", [])
+    serial = verify_even_theorem(8, jobs=1)
+    parallel = verify_even_theorem(8, jobs=2)
+    [(chunks, sizes)] = ChunkCountingPool.handed
+    assert chunks > 2 and sizes == sorted(sizes, reverse=True)
+    assert parallel.entries == serial.entries
+    assert [e["lambda"] for e in serial.entries] == [
+        render(lam) for n in (0, 2, 4, 6, 8) for lam in enumerate_partitions(n)]
+    assert (parallel.checked, parallel.failures) == (serial.checked, serial.failures) == (41, [])
 
 
 class RecordingExecutor:

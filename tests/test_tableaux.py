@@ -6,11 +6,13 @@ import functools
 import itertools
 import pickle
 import re
+import sys
 
 import pytest
 
 from oracles import brute_lr, gen_partitions
 from tensorcube import (
+    GroupSpec,
     Partition,
     SkewShape,
     SkewTableau,
@@ -20,7 +22,10 @@ from tensorcube import (
     is_lattice,
     is_lr_tableau,
     is_semistandard,
+    lr,
+    oracle,
     tableaux,
+    tensor_decompose,
 )
 from tensorcube.tableaux import (
     ascii_diagram,
@@ -262,6 +267,116 @@ def test_counts_match_brute_force():
             assert got == brute_lr(shape.inner, cont, shape.outer), (
                 shape.outer, shape.inner, cont,
             )
+
+
+def walk_count(shape, cont, lattice, by_rows):
+    """The count of ``shape`` with content ``cont`` by the leaf walk or the
+    row transfer, called directly."""
+    tally = {}
+    tableaux._walk(shape.outer, shape.inner, len(cont), lattice, cont, tally, by_rows=by_rows)
+    return sum(tally.values())
+
+
+def compositions(n):
+    """Every composition of ``n`` into positive parts."""
+    if not n:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in compositions(n - first)]
+
+
+def test_row_transfer_counts_match_the_leaf_walk():
+    """The row transfer gives the leaf walk's count on every skew shape of
+    outer size up to 9 with every partition content, with and without the
+    lattice condition, and without it on outer size up to 7 with every
+    composition, padded with an unused letter on either side; in the
+    lattice case up to outer size 7 it also gives the brute-force count."""
+    cases = 0
+    for shape in skew_shapes(9):
+        for cont in gen_partitions(shape.size):
+            for lattice in (True, False):
+                got = walk_count(shape, cont, lattice, True)
+                assert got == walk_count(shape, cont, lattice, False), (shape, cont, lattice)
+                if lattice and sum(shape.outer) <= 7:
+                    assert got == brute_lr(shape.inner, cont, shape.outer), (shape, cont)
+                cases += 1
+    for shape in skew_shapes(7):
+        for cont in compositions(shape.size):
+            for padded in {cont, (0,) + cont, cont + (0,)}:
+                assert (walk_count(shape, padded, False, True)
+                        == walk_count(shape, padded, False, False)), (shape, padded)
+                cases += 1
+    assert cases > 20000
+
+
+def record_walks(monkeypatch):
+    """Record, for every walk from here on, its number of non-empty skew
+    rows and whether it runs by rows, the oracle's walks included."""
+    walks = []
+    walk = tableaux._walk
+
+    def recording(outer, inner, *args, by_rows=False, **kwargs):
+        rows = sum(a > b for a, b in zip(outer, tuple(inner) + (0,) * len(outer)))
+        walks.append((rows, by_rows))
+        return walk(outer, inner, *args, by_rows=by_rows, **kwargs)
+
+    monkeypatch.setattr(tableaux, "_walk", recording)
+    monkeypatch.setattr(oracle, "_walk", recording)
+    return walks
+
+
+def test_count_walks_by_rows_exactly_on_eight_rows(monkeypatch):
+    """A count runs the row transfer exactly when its skew shape has 8 or
+    more non-empty rows, rows covered by the inner shape not counted; the
+    tableaux, the expansions, the decompositions and the polynomial route
+    never run it, so the oracle stays independent of it."""
+    walks = record_walks(monkeypatch)
+    shapes = [SkewShape((1,) * n, ()) for n in range(6, 11)]
+    shapes += [SkewShape((3, 2, 2, 1, 1, 1, 1, 1, 1), (3,)),        # 8 of 9 rows
+               SkewShape((3, 3, 2, 1, 1, 1, 1, 1, 1), (3, 3)),      # 7 of 9 rows
+               SkewShape((2,) * 9, (2, 2, 2, 1)),                    # 6 of 9 rows
+               SkewShape((2,) * 10, (2, 2)),                         # 8 of 10 rows
+               SkewShape((4, 3, 3, 2, 2, 2, 1, 1, 1), (3, 3, 2)),   # 8 of 9, one between
+               SkewShape((4, 3, 3, 2, 2, 2, 1, 1), (3, 3, 2))]      # 7 of 8, one between
+    for shape in shapes:
+        rows = sum(1 for i in range(len(shape.outer)) if shape.row_span(i)[0] < shape.outer[i])
+        for cont in gen_partitions(shape.size):
+            walks.clear()
+            count_lr_fillings(shape, cont)
+            assert walks == [(rows, rows >= 8)], (shape, cont)
+    for n in (7, 8):
+        walks.clear()
+        assert lr.lr_coefficient((1,) * n, (1,) * n, (2,) * n) == 1
+        assert walks == [(n, n >= 8)]
+    tall = SkewShape((2,) * 5 + (1,) * 5, (1,))
+    walks.clear()
+    enumerate_lr_tableaux(tall, (3, 2, 1, 1, 1, 1))
+    lr.skew_expansion(tall.outer, tall.inner)
+    tensor_decompose((1,) * 8, (1,) * 8, GroupSpec("C", 8))
+    oracle._kostka.cache_clear()
+    oracle._schur_sector.cache_clear()
+    assert oracle.lr_via_polynomials((1,) * 4, (1,) * 4, (1,) * 8) == 1
+    assert max(rows for rows, _ in walks) >= 8
+    assert not any(by_rows for _, by_rows in walks)
+
+
+def test_row_transfer_keeps_the_depth_guard(monkeypatch):
+    """A count of 8 or more rows and more boxes than the depth budget is
+    refused as the leaf walk refuses it, before any box is laid out."""
+    def never(*args):
+        raise AssertionError("a box was laid out")
+
+    monkeypatch.setattr(tableaux, "_boxes", never)
+    budget = sys.getrecursionlimit() - 100
+    with pytest.raises(ValueError, match=f"fill {8 * 125} boxes, more than its depth budget"):
+        count_lr_fillings(SkewShape((250,) * 8, (125,) * 8), (125,) * 8)
+    assert 8 * 125 > budget
+    with pytest.raises(ValueError, match="depth budget"):
+        count_lr_fillings(SkewShape((10**7,) * 8, ()), (10**7,) * 8)
+
+
+def test_wide_row_transfer_lays_out_its_boxes_only():
+    """Eight one-box rows, the first ten billion columns in, count as one."""
+    assert count_lr_fillings(SkewShape((10**10 + 1,) + (1,) * 7, (10**10,)), (1,) * 8) == 1
 
 
 def test_enumeration_is_in_reading_word_order():
