@@ -106,8 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_at_least(0), required=True,
                    help="largest weight size to sweep (a non-negative integer)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
-                   help="parallel workers for the even sweep (a positive integer); "
-                        "the odd sweep searches nothing and runs serially")
+                   help="a positive integer, checked and otherwise ignored: both "
+                        "sweeps run in this process, since at their size caps a "
+                        "worker pool costs more to start than it saves")
 
     p = sub.add_parser("render", parents=[shared],
                        help="draw a Young or skew diagram")

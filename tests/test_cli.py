@@ -389,9 +389,10 @@ def _loaded_after(argv, watched):
 
 
 def test_serial_sweep_never_loads_the_process_pool():
-    """Neither a sweep at one worker nor the odd sweep, which runs serially
-    at any ``--jobs``, loads the pool's modules."""
+    """Both sweeps run in-process at any ``--jobs``, so none loads the
+    pool's modules."""
     for argv in (["verify", "even", "--max-size", "4"],
+                 ["verify", "even", "--max-size", "4", "--jobs", "2"],
                  ["verify", "odd", "--max-size", "9", "--jobs", "2"]):
         loaded = _loaded_after(argv, ["concurrent.futures", "multiprocessing",
                                       "tensorcube.oracle"])

@@ -7,7 +7,6 @@ import pathlib
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -416,102 +415,24 @@ def test_sweep_parallel_matches_serial():
     assert serial.family_tallies == parallel.family_tallies
 
 
-class ChunkCountingPool(ProcessPoolExecutor):
-    """The real process pool, recording the sizes of the weights it is
-    handed, in order, and how many chunks it cuts them into."""
+class NoPool:
+    """Stands in for the process pool and fails the test if it is built."""
 
-    handed = []
-
-    def map(self, fn, items, chunksize=1):
-        items = list(items)
-        self.handed.append((-(-len(items) // chunksize), [lam.size for lam in items]))
-        return super().map(fn, items, chunksize=chunksize)
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a sweep built a process pool")
 
 
 def test_odd_sweep_does_not_depend_on_jobs(monkeypatch):
-    """The odd sweep searches nothing, so it starts no worker pool at any
-    ``jobs``; at 1 and 2 it gives the same entries in the serial order:
-    sizes ascending, reverse-lex within each."""
-    monkeypatch.setattr(detection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkCountingPool)
-    monkeypatch.setattr(ChunkCountingPool, "handed", [])
-    serial = verify_odd_theorem(9, jobs=1)
-    parallel = verify_odd_theorem(9, jobs=2)
-    assert ChunkCountingPool.handed == []
-    assert parallel.entries == serial.entries
-    assert [e["lambda"] for e in serial.entries] == [
-        render(lam) for n in (1, 3, 5, 7, 9) for lam in enumerate_partitions(n)]
-    assert (parallel.checked, parallel.failures) == (serial.checked, serial.failures) == (56, [])
-
-
-def test_even_sweep_hands_out_heaviest_first(monkeypatch):
-    """The even sweep to size 8 over two real worker processes, its weights
-    handed out heaviest first in several chunks, gives the serial sweep's
-    entries in the serial order: sizes ascending, reverse-lex within each."""
-    monkeypatch.setattr(detection.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkCountingPool)
-    monkeypatch.setattr(ChunkCountingPool, "handed", [])
-    serial = verify_even_theorem(8, jobs=1)
-    parallel = verify_even_theorem(8, jobs=2)
-    [(chunks, sizes)] = ChunkCountingPool.handed
-    assert chunks > 2 and sizes == sorted(sizes, reverse=True)
-    assert parallel.entries == serial.entries
-    assert [e["lambda"] for e in serial.entries] == [
-        render(lam) for n in (0, 2, 4, 6, 8) for lam in enumerate_partitions(n)]
-    assert (parallel.checked, parallel.failures) == (serial.checked, serial.failures) == (41, [])
-
-
-class RecordingExecutor:
-    """Stands in for the process pool: records its size, maps in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-def sweep_pool_sizes(monkeypatch, jobs):
-    """The pool sizes an even sweep of size <= 4 asks for, its entries
-    checked against the serial sweep."""
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    report = verify_even_theorem(4, jobs=jobs)
-    assert report.entries == verify_even_theorem(4, jobs=1).entries
-    return RecordingExecutor.sizes
-
-
-@pytest.mark.parametrize("cpus, jobs, expected", [
-    (4, 100000, [4]),    # bounded by the CPUs this process may use
-    (64, 100000, [8]),   # bounded by the eight weights of even size <= 4
-    (4, 2, [2]),
-    (None, 100000, []),  # unknown CPU count: serial, no pool
-    (1, 2, []),          # pinned to one CPU (taskset -c 0): serial, no pool
-])
-def test_sweep_workers_bounded_by_cpus_and_items(monkeypatch, cpus, jobs, expected):
-    """A numeric ``cpus`` is the affinity mask, on a machine with more CPUs;
-    None is a platform with no affinity mask and an unknown CPU count."""
-    if cpus is None:
-        monkeypatch.delattr(detection.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(detection.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(detection.os, "cpu_count", lambda: None if cpus is None else 128)
-    assert sweep_pool_sizes(monkeypatch, jobs) == expected
-
-
-@pytest.mark.parametrize("cpus, expected", [(4, [4]), (1, [])])
-def test_sweep_workers_fall_back_to_the_cpu_count(monkeypatch, cpus, expected):
-    """Without an affinity mask the machine's CPU count bounds the pool."""
-    monkeypatch.delattr(detection.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(detection.os, "cpu_count", lambda: cpus)
-    assert sweep_pool_sizes(monkeypatch, 100000) == expected
-
+    """The odd sweep, and the even sweep with it, run in-process: at
+    ``jobs`` 1 and 2 each gives the same entries in the serial order (sizes
+    ascending, reverse-lex within each) and builds no process pool."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
+    for sweep, max_size, checked in ((verify_odd_theorem, 9, 56), (verify_even_theorem, 8, 41)):
+        serial = sweep(max_size, jobs=1)
+        parallel = sweep(max_size, jobs=2)
+        assert parallel.entries == serial.entries
+        assert [e["lambda"] for e in serial.entries] == [
+            render(lam) for n in range(max_size % 2, max_size + 1, 2)
+            for lam in enumerate_partitions(n)]
+        assert (parallel.checked, parallel.failures) == (serial.checked, serial.failures) \
+            == (checked, [])
